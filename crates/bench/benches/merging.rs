@@ -20,8 +20,8 @@ fn main() {
     let options = fig10_options(3, 1.0);
     let compiled = compile_constraints(&aig).unwrap();
     let (specialized, _) = decompose_queries(&compiled).unwrap();
-    let unfolded = unfold(&specialized, 3, options.cutoff).unwrap();
-    let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
+    let unfolded = unfold(&specialized, 3, options.plan.cutoff).unwrap();
+    let graph = build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap();
     let exec = execute_graph(
         &unfolded.aig,
         &data.catalog,
@@ -34,12 +34,12 @@ fn main() {
     let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
 
     run("schedule_sigma0_small_u3", || {
-        black_box(schedule(black_box(&cg), &options.network))
+        black_box(schedule(black_box(&cg), &options.policy.network))
     });
     run("merge_sigma0_small_u3", || {
-        black_box(merge(black_box(&cg), &options.network, 1.0))
+        black_box(merge(black_box(&cg), &options.policy.network, 1.0))
     });
     run("graph_build_sigma0_small_u3", || {
-        black_box(build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap())
+        black_box(build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap())
     });
 }

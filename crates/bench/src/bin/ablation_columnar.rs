@@ -48,7 +48,7 @@ fn run_cell(threads: usize) -> Cell {
     let data = dataset(DatasetSize::Small);
     let args = [("date", Value::str(&data.dates[0]))];
     let mut options = fig10_options(UNFOLD, 1.0);
-    options.threads = threads;
+    options.policy.threads = threads;
     let mut best: Option<Cell> = None;
     for _ in 0..REPEATS {
         let start = Instant::now();

@@ -57,8 +57,8 @@ fn main() {
     let mut rows = Vec::new();
     for depth in [2usize, 4, 6] {
         let options = fig10_options(depth, 1.0);
-        let unfolded = unfold(&specialized, depth, options.cutoff).unwrap();
-        let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
+        let unfolded = unfold(&specialized, depth, options.plan.cutoff).unwrap();
+        let graph = build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap();
         let virtual_occurrences = graph.bindings.len() - graph.materialized.len();
         rows.push(vec![
             depth.to_string(),

@@ -118,7 +118,7 @@ fn measure(options: &MediatorOptions, scope: Scope) -> Cell {
 
 fn main() {
     let mut options = fig10_options(UNFOLD, 1.0);
-    options.incremental = true;
+    options.policy.incremental = true;
 
     let cells = [
         measure(&options, Scope::None),

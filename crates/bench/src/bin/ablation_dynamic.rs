@@ -23,8 +23,8 @@ fn main() {
     let options = fig10_options(unfold_depth, 1.0);
     let compiled = compile_constraints(&aig).unwrap();
     let (specialized, _) = decompose_queries(&compiled).unwrap();
-    let unfolded = unfold(&specialized, unfold_depth, options.cutoff).unwrap();
-    let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
+    let unfolded = unfold(&specialized, unfold_depth, options.plan.cutoff).unwrap();
+    let graph = build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap();
     let exec = execute_graph(
         &unfolded.aig,
         &data.catalog,
@@ -36,8 +36,8 @@ fn main() {
     let costs = measured_costs(
         &graph,
         &exec.measured,
-        options.graph.cost_model.per_query_overhead_secs,
-        options.graph.eval_scale,
+        options.plan.graph.cost_model.per_query_overhead_secs,
+        options.plan.graph.eval_scale,
     );
     let actual = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
 
@@ -50,8 +50,8 @@ fn main() {
             let f = noise.powf(rng.gen_range(-1.0f64..1.0));
             node.eval_secs *= f;
         }
-        let static_secs = static_response_on_actuals(&est, &actual, &options.network);
-        let dynamic_secs = dynamic_response_time(&est, &actual, &options.network);
+        let static_secs = static_response_on_actuals(&est, &actual, &options.policy.network);
+        let dynamic_secs = dynamic_response_time(&est, &actual, &options.policy.network);
         rows.push(vec![
             format!("{noise}x"),
             format!("{static_secs:.2}"),

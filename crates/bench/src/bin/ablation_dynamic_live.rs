@@ -1,4 +1,4 @@
-//! Ablation G: *live* dynamic scheduling in the parallel executor, measured
+//! Ablation G: *live* dynamic scheduling in the task driver, measured
 //! in wall-clock time and compared against the event simulation's
 //! prediction (`dynamic_response_time` / `static_response_on_actuals`).
 //!
@@ -18,7 +18,7 @@ use aig_core::spec::ElemIdx;
 use aig_mediator::cost::{estimated_costs, CostGraph, TaskCost};
 use aig_mediator::exec::{ExecOptions, Scheduling};
 use aig_mediator::graph::{RelKey, Task, TaskGraph, TaskKind};
-use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::parallel::execute_graph_planned;
 use aig_mediator::schedule::{dynamic_response_time, schedule, static_response_on_actuals};
 use aig_mediator::NetworkModel;
 use aig_relstore::{Catalog, Database, SourceId};
@@ -101,7 +101,7 @@ fn best_wall_secs(
     let mut deviations = 0;
     for _ in 0..runs {
         let start = Instant::now();
-        let result = execute_graph_parallel(aig, catalog, graph, &[], opts, plan)
+        let result = execute_graph_planned(aig, catalog, graph, &[], opts, plan)
             .expect("synthetic workload executes");
         best = best.min(start.elapsed().as_secs_f64());
         deviations = result.sched.deviations().len();

@@ -26,9 +26,9 @@ fn main() {
     let args = [("date", Value::str(&data.dates[0]))];
     let mut options = aig_bench::fig10_options(unfold, 1.0);
     // Measure real executor wall time, not the simulated 2003 calibration.
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
-    options.retry = RetryPolicy {
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
+    options.policy.retry = RetryPolicy {
         max_attempts: 8,
         backoff_base_secs: 0.0002,
         backoff_cap_secs: 0.002,
@@ -42,7 +42,7 @@ fn main() {
     let mut rows = Vec::new();
     for rate in [0.0, 0.1, 0.2, 0.4, 0.6] {
         let mut faulted = options.clone();
-        faulted.faults = Some(FaultConfig {
+        faulted.policy.faults = Some(FaultConfig {
             seed: 42,
             transient_rate: rate,
             latency_rate: rate / 2.0,

@@ -39,9 +39,9 @@ fn main() {
     let args = [("date", Value::str(&data.dates[0]))];
     let mut options = aig_bench::fig10_options(unfold, 1.0);
     // Measure real executor wall time, not the simulated 2003 calibration.
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
-    options.retry = RetryPolicy {
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
+    options.policy.retry = RetryPolicy {
         max_attempts: 8,
         backoff_base_secs: 0.0002,
         backoff_cap_secs: 0.002,
@@ -53,7 +53,7 @@ fn main() {
     let (clean_run, clean_report) =
         run_with_report(&aig, &data.catalog, &args, &options).expect("clean run");
     let mut checked = options.clone();
-    checked.check_integrity = true;
+    checked.policy.check_integrity = true;
     let (checked_run, checked_report) =
         run_with_report(&aig, &data.catalog, &args, &checked).expect("clean checked run");
     assert_eq!(
@@ -72,7 +72,7 @@ fn main() {
     let mut per_kind: BTreeMap<String, usize> = BTreeMap::new();
     for rate in [0.0, 0.1, 0.2, 0.4] {
         let mut faulted = checked.clone();
-        faulted.faults = Some(FaultConfig {
+        faulted.policy.faults = Some(FaultConfig {
             seed,
             corrupt_rate: rate,
             ..FaultConfig::default()
@@ -103,8 +103,8 @@ fn main() {
     // 3. Justification: the same schedule with the defense off must publish
     //    a wrong answer (or the sweep above proved nothing).
     let mut undefended = options.clone();
-    undefended.check_guards = false;
-    undefended.faults = Some(FaultConfig {
+    undefended.policy.check_guards = false;
+    undefended.policy.faults = Some(FaultConfig {
         seed,
         corrupt_rate: 0.4,
         ..FaultConfig::default()

@@ -210,7 +210,6 @@ fn main() {
             // The schema_version-4 report of the last warm request carries
             // the per-run cache hit flag and counters alongside the stage
             // split (`prepare_secs` / `execute_secs`).
-            ("report", deep.warm_report.redacted().to_json()),
             ("rows", table_json(&header, &rows)),
         ]),
     );

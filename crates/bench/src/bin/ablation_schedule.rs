@@ -21,8 +21,8 @@ fn main() {
         let options = fig10_options(unfold_depth, 1.0);
         let compiled = compile_constraints(&aig).unwrap();
         let (specialized, _) = decompose_queries(&compiled).unwrap();
-        let unfolded = unfold(&specialized, unfold_depth, options.cutoff).unwrap();
-        let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
+        let unfolded = unfold(&specialized, unfold_depth, options.plan.cutoff).unwrap();
+        let graph = build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap();
         let exec = execute_graph(
             &unfolded.aig,
             &data.catalog,
@@ -34,12 +34,16 @@ fn main() {
         let costs = measured_costs(
             &graph,
             &exec.measured,
-            options.graph.cost_model.per_query_overhead_secs,
-            options.graph.eval_scale,
+            options.plan.graph.cost_model.per_query_overhead_secs,
+            options.plan.graph.eval_scale,
         );
         let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
-        let scheduled = response_time(&cg, &schedule(&cg, &options.network), &options.network);
-        let naive = response_time(&cg, &naive_plan(&cg), &options.network);
+        let scheduled = response_time(
+            &cg,
+            &schedule(&cg, &options.policy.network),
+            &options.policy.network,
+        );
+        let naive = response_time(&cg, &naive_plan(&cg), &options.policy.network);
         rows.push(vec![
             size.name().to_string(),
             format!("{naive:.2}"),

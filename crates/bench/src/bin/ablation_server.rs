@@ -40,16 +40,16 @@ fn main() {
     let mut options = aig_bench::fig10_options(4, 1.0);
     // Logical service times from the cost model alone (no wall-clock
     // calibration), so the ledger is machine-independent.
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 0.05;
-    options.retry = RetryPolicy {
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 0.05;
+    options.policy.retry = RetryPolicy {
         max_attempts: 3,
         backoff_base_secs: 0.0002,
         backoff_cap_secs: 0.002,
         jitter: 0.5,
         timeout_secs: 0.003,
     };
-    options.faults = Some(FaultConfig {
+    options.policy.faults = Some(FaultConfig {
         seed: 4242,
         transient_rate: 0.03,
         latency_rate: 0.02,

@@ -43,8 +43,8 @@ fn main() {
 
     let cold = |shipcut: bool, threads: usize| -> Cell {
         let mut options = fig10_options(UNFOLD, 1.0);
-        options.shipcut = shipcut;
-        options.threads = threads;
+        options.plan.shipcut = shipcut;
+        options.policy.threads = threads;
         let mut best: Option<Cell> = None;
         for _ in 0..REPEATS {
             let start = Instant::now();
@@ -72,7 +72,7 @@ fn main() {
     // Warm: the service caches the prepared plan (ship-cut analysis
     // included), so requests pay execution only.
     let mut warm_options = fig10_options(UNFOLD, 1.0);
-    warm_options.shipcut = true;
+    warm_options.plan.shipcut = true;
     let mediator = Mediator::new(data.catalog.clone(), &warm_options).unwrap();
     mediator.request(&aig, &args).expect("warm-up");
     let warm_start = Instant::now();
@@ -148,7 +148,6 @@ fn main() {
                 "warm_cache_hit",
                 Json::Bool(warm_report.cache.hit && warm_report.cache.enabled),
             ),
-            ("report", on.report.redacted().to_json()),
             ("rows", table_json(&header, &rows)),
         ]),
     );

@@ -42,8 +42,8 @@ fn main() {
     let cell = |batch_rows: Option<usize>| -> Cell {
         let mut options = fig10_options(UNFOLD, 1.0);
         if let Some(rows) = batch_rows {
-            options.batching = true;
-            options.batch_rows = rows;
+            options.policy.batching = true;
+            options.policy.batch_rows = rows;
         }
         let mut best: Option<Cell> = None;
         for _ in 0..REPEATS {
@@ -152,7 +152,6 @@ fn main() {
             ),
             ("wall_mat_secs", Json::num(mat.wall_secs)),
             ("wall_256_secs", Json::num(fine.wall_secs)),
-            ("report", fine.report.redacted().to_json()),
             ("rows", table_json(&header, &rows)),
         ]),
     );

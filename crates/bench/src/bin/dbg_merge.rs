@@ -24,8 +24,8 @@ fn main() {
     let options = fig10_options(unfold_depth, 1.0);
     let compiled = compile_constraints(&aig).unwrap();
     let (specialized, _) = decompose_queries(&compiled).unwrap();
-    let unfolded = unfold(&specialized, unfold_depth, options.cutoff).unwrap();
-    let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
+    let unfolded = unfold(&specialized, unfold_depth, options.plan.cutoff).unwrap();
+    let graph = build_graph(&unfolded.aig, &data.catalog, &options.plan.graph).unwrap();
     let exec = execute_graph(
         &unfolded.aig,
         &data.catalog,
@@ -37,15 +37,15 @@ fn main() {
     let costs = measured_costs(
         &graph,
         &exec.measured,
-        options.graph.cost_model.per_query_overhead_secs,
-        options.graph.eval_scale,
+        options.plan.graph.cost_model.per_query_overhead_secs,
+        options.plan.graph.eval_scale,
     );
     let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
     eprint!("{}", aig_mediator::render_graph(&cg, &graph, &data.catalog));
-    let base = no_merge(&cg, &options.network);
+    let base = no_merge(&cg, &options.policy.network);
     eprint!(
         "{}",
-        aig_mediator::render_plan(&cg, &base.plan, &options.network, &data.catalog)
+        aig_mediator::render_plan(&cg, &base.plan, &options.policy.network, &data.catalog)
     );
     eprintln!("unmerged response: {:.3}", base.response_secs);
     // Greedy trace.
@@ -66,13 +66,13 @@ fn main() {
                     &current,
                     u,
                     v,
-                    options.graph.cost_model.per_query_overhead_secs,
+                    options.plan.graph.cost_model.per_query_overhead_secs,
                 );
                 if cand.topo().is_none() {
                     continue;
                 }
-                let plan = schedule(&cand, &options.network);
-                let c = response_time(&cand, &plan, &options.network);
+                let plan = schedule(&cand, &options.policy.network);
+                let c = response_time(&cand, &plan, &options.policy.network);
                 if c < cost && best.map(|(_, _, bc)| c < bc).unwrap_or(true) {
                     best = Some((u, v, c));
                 }
@@ -85,7 +85,7 @@ fn main() {
                     &current,
                     u,
                     v,
-                    options.graph.cost_model.per_query_overhead_secs,
+                    options.plan.graph.cost_model.per_query_overhead_secs,
                 );
                 cost = c;
             }

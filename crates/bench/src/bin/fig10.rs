@@ -4,25 +4,24 @@
 //! 2–7 levels, with 1 Mbps links between the mediator and the sources.
 //!
 //! Usage: `fig10 [--mbps <f64>] [--explain]`
+//! `--mbps` must be a positive number (exit code 2 otherwise).
 //! `--explain` additionally prints the task-graph summary per cell.
 //!
 //! Besides the table on stdout, writes `BENCH_fig10.json`: every cell's
 //! summary plus the full [`aig_mediator::RunReport`] of a representative
 //! cell (phase timers, per-task/per-source metrics, merge decisions).
 
-use aig_bench::{dataset, fig10_cell, markdown_table, spec, write_bench_json, Json};
+use aig_bench::{dataset, fig10_cell, markdown_table, parse_mbps, spec, write_bench_json, Json};
 use aig_datagen::DatasetSize;
 use aig_mediator::render_report;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mbps = args
-        .iter()
-        .position(|a| a == "--mbps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let mbps = parse_mbps(&args).unwrap_or_else(|e| {
+        eprintln!("fig10: {e}\nusage: fig10 [--mbps <f64>] [--explain]");
+        std::process::exit(2);
+    });
     let explain = args.iter().any(|a| a == "--explain");
 
     let parse_start = Instant::now();

@@ -1,4 +1,5 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries and the dependency-free
+//! micro-benchmarks ([`microbench`]).
 //!
 //! Every table and figure of the paper's evaluation (§6) has a binary here:
 //!
@@ -36,25 +37,41 @@ pub fn spec() -> Aig {
 /// Options for one Fig. 10 cell: truncate at `unfold` levels, 1 Mbps by
 /// default (the paper's setting).
 pub fn fig10_options(unfold: usize, mbps: f64) -> MediatorOptions {
-    let mut options = MediatorOptions {
-        unfold_depth: unfold,
-        max_depth: unfold,
-        cutoff: CutOff::Truncate,
-        merging: true,
-        check_guards: true,
-        validate_output: false, // verified by tests; not part of §6 timing
-        network: NetworkModel::mbps(mbps),
-        ..MediatorOptions::default()
-    };
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(unfold)
+        .max_depth(unfold)
+        .cutoff(CutOff::Truncate)
+        .validate_output(false) // verified by tests; not part of §6 timing
+        .network(NetworkModel::mbps(mbps))
+        .build()
+        .expect("valid Fig. 10 options");
     // Calibration to the paper's testbed (DB2 v8.1 on 2003 hardware behind
     // a mediator): per-statement overhead of ~1 s (connection, prepare,
     // temp-table DDL) and a 10x slowdown of raw query evaluation relative
     // to our embedded in-process engine. Only the *ratios* of Fig. 10 are
     // compared, and those are driven by the relative weight of per-query
     // fixed costs — this calibration makes that weight 2003-realistic.
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
-    options.graph.eval_scale = 10.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
+    options.plan.graph.eval_scale = 10.0;
     options
+}
+
+/// The `--mbps <value>` flag of a command line: 1.0 (the paper's 1 Mbps
+/// links) when the flag is absent. A flag whose value is missing,
+/// unparseable, non-finite or not positive is a usage error.
+pub fn parse_mbps(args: &[String]) -> Result<f64, String> {
+    let Some(flag) = args.iter().position(|a| a == "--mbps") else {
+        return Ok(1.0);
+    };
+    let value = args
+        .get(flag + 1)
+        .ok_or("--mbps needs a value in megabits per second")?;
+    match value.parse::<f64>() {
+        Ok(mbps) if mbps.is_finite() && mbps > 0.0 => Ok(mbps),
+        _ => Err(format!(
+            "--mbps expects a positive number of megabits per second, got `{value}`"
+        )),
+    }
 }
 
 /// One cell of Fig. 10: the ratio of evaluation time without merging to the
@@ -215,4 +232,35 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(&format!("| {} |\n", row.join(" | ")));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_mbps;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn mbps_defaults_to_the_paper_setting_and_parses_positive_values() {
+        assert_eq!(parse_mbps(&args(&["fig10"])), Ok(1.0));
+        assert_eq!(parse_mbps(&args(&["fig10", "--explain"])), Ok(1.0));
+        assert_eq!(parse_mbps(&args(&["fig10", "--mbps", "8"])), Ok(8.0));
+        assert_eq!(parse_mbps(&args(&["fig10", "--mbps", "0.5"])), Ok(0.5));
+    }
+
+    #[test]
+    fn bad_mbps_values_are_usage_errors() {
+        for bad in [
+            &["fig10", "--mbps"][..],
+            &["fig10", "--mbps", "fast"],
+            &["fig10", "--mbps", "NaN"],
+            &["fig10", "--mbps", "inf"],
+            &["fig10", "--mbps", "0"],
+            &["fig10", "--mbps", "-2"],
+        ] {
+            assert!(parse_mbps(&args(bad)).is_err(), "{bad:?} was accepted");
+        }
+    }
 }

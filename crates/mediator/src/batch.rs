@@ -1,6 +1,6 @@
 //! The chunked-shipment seam: bounded columnar batch streams.
 //!
-//! The materializing executors ship each task's whole output relation in
+//! The materializing seam ships each task's whole output relation in
 //! one piece, so a shipment is resident in full while it crosses the wire.
 //! Under [`crate::plan::ExecPolicy::batching`] the ship seam instead yields
 //! fixed-size batches ([`BatchStream`]): the mediator puts batch `k` on the
@@ -12,7 +12,7 @@
 //!
 //! [`ShipLedger`] does the accounting: resident rows under the window,
 //! their global peak, and the total batch count, shared by every task of an
-//! execution (including the parallel executor's per-source workers).
+//! execution (including the task driver's per-source workers).
 
 use crate::exec::ExecOptions;
 use aig_relstore::Relation;
@@ -68,8 +68,8 @@ impl BatchStream for RelationStream {
     }
 }
 
-/// Shared shipment accounting for one execution. Thread-safe so the
-/// parallel executor's workers update it lock-free; the double-buffer
+/// Shared shipment accounting for one execution. Thread-safe so the task
+/// driver's per-source workers update it lock-free; the double-buffer
 /// window is acquired/released per batch by [`ship_output`].
 #[derive(Debug, Default)]
 pub struct ShipLedger {
@@ -140,7 +140,7 @@ pub(crate) struct ShipOutcome {
 
 /// Ships one task's output through the seam, doing the resident-row
 /// accounting against `ledger`. `on_batch(batches_so_far, bytes_so_far)`
-/// fires after each batch lands — the parallel executor uses it to patch
+/// fires after each batch lands — the task driver uses it to patch
 /// partial shipment progress into the dynamic scheduler.
 pub(crate) fn ship_output(
     opts: &ExecOptions,

@@ -8,12 +8,12 @@
 //! queries and simulating the transfers.
 
 use crate::error::MediatorError;
-use crate::faults::{FaultEnv, FaultPlan, IntegrityLog, ResilienceLog, RetryPolicy, TaskFaultCtx};
+use crate::faults::{FaultPlan, IntegrityLog, ResilienceLog, RetryPolicy};
 use crate::graph::{
     resolve_syn_key, Binding, Occ, ParamInput, RelKey, ScalarBind, Task, TaskGraph, TaskKind,
     VectorQuery,
 };
-use crate::integrity;
+use crate::parallel::SharedStore;
 use crate::shipcut::ShipCut;
 use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
@@ -28,14 +28,20 @@ use aig_sql::{
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// How the parallel executor orders tasks at each source.
+/// How the task driver ([`crate::parallel`]) walks the graph. Every mode
+/// runs the paper's rule — at each source, the lowest unprocessed task in
+/// the plan's ordering runs as soon as its inputs are available — and every
+/// mode produces byte-identical relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
-    /// Walk the planned per-source sequences as given; each worker blocks
-    /// on its next planned task even when later tasks are already ready.
+    /// One worker walks the topological order inline on the caller's
+    /// thread; no thread starts and no task ever waits.
     #[default]
+    Sequential,
+    /// One worker per source walks the planned per-source sequences as
+    /// given, blocking on its next planned task even when later tasks are
+    /// already ready.
     Static,
     /// Per-source ready queues: an idle worker picks the highest-priority
     /// *ready* task at its source, with priorities recomputed from a hybrid
@@ -60,7 +66,7 @@ pub struct TaskPick {
 }
 
 /// What the scheduler did during one execution: empty and `dynamic: false`
-/// under static scheduling and the sequential executor.
+/// under sequential and static scheduling.
 #[derive(Debug, Clone, Default)]
 pub struct SchedLog {
     /// True when the dynamic (ready-queue) scheduler ran.
@@ -96,18 +102,16 @@ pub struct ExecPolicy {
     /// relations plus the key/inclusion constraint check on the tagged
     /// document, with detections recorded in the report's integrity ledger.
     pub check_integrity: bool,
-    /// Execute with the per-source worker threads of [`crate::parallel`]
-    /// instead of the sequential executor.
-    pub parallel_exec: bool,
     pub network: crate::sim::NetworkModel,
     /// Deterministic fault injection for source tasks (None = no faults).
-    /// This is the *configuration*; the executors consume the bound
+    /// This is the *configuration*; the task driver consumes the bound
     /// [`ExecOptions::faults`] plan.
     pub faults: Option<crate::faults::FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling
-    /// in the parallel executor; ignored by the sequential executor.
+    /// How the task driver walks the graph: inline topological order (the
+    /// default), per-source workers over planned sequences, or per-source
+    /// live ready queues.
     pub scheduling: Scheduling,
     /// Worker-thread bound for the partitioned kernels (hash join,
     /// canonical sort, dedup) inside each task. Results are byte-identical
@@ -148,7 +152,6 @@ impl Default for ExecPolicy {
             check_guards: true,
             validate_output: true,
             check_integrity: false,
-            parallel_exec: false,
             network: crate::sim::NetworkModel::default(),
             faults: None,
             retry: RetryPolicy::default(),
@@ -291,7 +294,7 @@ impl ExecOptions {
 }
 
 /// Measured per-task execution: wall-clock seconds plus actual input and
-/// output sizes and (for the parallel executor) queue/wait accounting.
+/// output sizes and (under the per-source modes) queue/wait accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Measured {
     pub secs: f64,
@@ -315,17 +318,10 @@ pub struct Measured {
     /// Rows read from dependency relations (distinct input relations).
     pub in_rows: f64,
     /// Seconds the task spent waiting for its inputs before running
-    /// (always zero under the sequential executor).
+    /// (always zero under [`Scheduling::Sequential`]).
     pub wait_secs: f64,
     /// Offset of the task's start from the beginning of the execution.
     pub start_secs: f64,
-}
-
-/// Read access to the relations produced so far. The sequential executor
-/// reads its own [`RelStore`]; the parallel executor (one thread per data
-/// source, see [`crate::parallel`]) reads completed tasks' write-once slots.
-pub trait RelSource {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError>;
 }
 
 /// All relations produced by an execution. `Clone` so the service can
@@ -335,12 +331,6 @@ pub trait RelSource {
 #[derive(Debug, Clone, Default)]
 pub struct RelStore {
     rels: HashMap<RelKey, Relation>,
-}
-
-impl RelSource for RelStore {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
-        self.get(key)
-    }
 }
 
 impl RelStore {
@@ -403,53 +393,8 @@ pub fn branch_tag(aig: &Aig, occ: &Occ, branch: usize) -> String {
     format!("{}#b{branch}", occ.key(aig))
 }
 
-/// Resolves hard outages against the catalog before tasks run: every dead
-/// source that owns tasks is either redirected to a live declared replica
-/// (yielding a failover catalog view and re-homed effective sources) or the
-/// run fails with a structured error naming the lost tasks. Sources are
-/// resolved in id order, so the outcome is deterministic.
-pub(crate) fn resolve_outages(
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    plan: &FaultPlan,
-    effective: &mut [SourceId],
-) -> Result<Option<Catalog>, MediatorError> {
-    let mut active: Option<Catalog> = None;
-    let mut sources: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    sources.sort();
-    sources.dedup();
-    for sid in sources {
-        if !plan.source_down(sid) {
-            continue;
-        }
-        let cat = active.as_ref().unwrap_or(catalog);
-        match cat.replica_of(sid).filter(|r| !plan.source_down(*r)) {
-            Some(replica) => {
-                active = Some(cat.failover(sid).expect("replica is declared"));
-                for (id, task) in graph.tasks.iter().enumerate() {
-                    if task.source == sid {
-                        effective[id] = replica;
-                    }
-                }
-            }
-            None => {
-                let lost_tasks: Vec<String> = graph
-                    .topo
-                    .iter()
-                    .filter(|&&id| graph.tasks[id].source == sid)
-                    .map(|&id| graph.tasks[id].label.clone())
-                    .collect();
-                return Err(MediatorError::SourceUnavailable {
-                    source: catalog.source(sid).name().to_string(),
-                    lost_tasks,
-                });
-            }
-        }
-    }
-    Ok(active)
-}
-
-/// Executes every task of `graph` in topological order.
+/// Executes every task of `graph` through the task driver under the
+/// scheduling mode of `opts` (see [`crate::parallel`]).
 pub fn execute_graph(
     aig: &Aig,
     catalog: &Catalog,
@@ -457,164 +402,7 @@ pub fn execute_graph(
     args: &[(&str, Value)],
     opts: &ExecOptions,
 ) -> Result<ExecResult, MediatorError> {
-    let mut store = RelStore::default();
-    let mut measured = vec![Measured::default(); graph.tasks.len()];
-    let mut resilience = ResilienceLog::default();
-    let mut integrity_log = IntegrityLog::default();
-    // Relation profiles only matter when corruptions can be injected or
-    // the guard checks are on; clean runs skip the catalog lookups.
-    let profiling = opts.check_integrity()
-        || opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_wrong_answer_faults());
-    let ledger = crate::batch::ShipLedger::default();
-    let mut effective: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    let mut active = match &opts.faults {
-        Some(plan) => resolve_outages(catalog, graph, plan, &mut effective)?,
-        None => None,
-    };
-    let base_catalog = catalog;
-    let env = FaultEnv {
-        plan: opts.faults.as_ref(),
-        retry: opts.retry(),
-        deadline: opts.deadline.as_ref(),
-    };
-    // Per-source completed-task counters, consulted only when the fault
-    // plan schedules a mid-run outage ("source dies after k tasks").
-    let mid_run = opts
-        .faults
-        .as_ref()
-        .is_some_and(|p| p.has_mid_run_outages());
-    let mut completed_at: HashMap<SourceId, usize> = HashMap::new();
-    let epoch = Instant::now();
-    for (pos, &id) in graph.topo.iter().enumerate() {
-        if mid_run {
-            let plan = opts.faults.as_ref().expect("mid_run implies a plan");
-            let sid = effective[id];
-            let dead = |s: SourceId| {
-                plan.outage_after(s)
-                    .is_some_and(|k| completed_at.get(&s).copied().unwrap_or(0) >= k)
-            };
-            if !sid.is_mediator() && dead(sid) {
-                // The source completed its allotted tasks and died: fail
-                // its remaining tasks over to a live declared replica, or
-                // abort with the lost tasks if none exists.
-                let cat = active.as_ref().unwrap_or(base_catalog);
-                let replica = cat
-                    .replica_of(sid)
-                    .filter(|r| !plan.source_down(*r) && !dead(*r));
-                match replica {
-                    Some(replica) => {
-                        active = Some(cat.failover(sid).expect("replica is declared"));
-                        for &later in &graph.topo[pos..] {
-                            if effective[later] == sid {
-                                effective[later] = replica;
-                            }
-                        }
-                        resilience.replans += 1;
-                    }
-                    None => {
-                        let lost_tasks: Vec<String> = graph.topo[pos..]
-                            .iter()
-                            .filter(|&&t| effective[t] == sid)
-                            .map(|&t| graph.tasks[t].label.clone())
-                            .collect();
-                        return Err(MediatorError::SourceUnavailable {
-                            source: base_catalog.source(sid).name().to_string(),
-                            lost_tasks,
-                        });
-                    }
-                }
-            }
-        }
-        let catalog = active.as_ref().unwrap_or(base_catalog);
-        let task = &graph.tasks[id];
-        let in_rows = input_rows(task, &store);
-        let start = Instant::now();
-        let start_secs = (start - epoch).as_secs_f64();
-        let failed_over_from =
-            (effective[id] != task.source).then(|| catalog.source(task.source).name());
-        let profile = if profiling {
-            integrity::profile_task(task, catalog)
-        } else {
-            None
-        };
-        let output = {
-            let exec = Executor {
-                aig,
-                catalog,
-                graph,
-                store: &store,
-                opts,
-            };
-            if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(id)) {
-                crate::faults::sleep_secs(*secs);
-            }
-            let ctx = TaskFaultCtx {
-                task_id: id,
-                label: &task.label,
-                source: effective[id],
-                source_name: catalog.source(effective[id]).name(),
-                table: integrity::task_table(task),
-                failed_over_from,
-                profile: profile.as_ref(),
-                check_integrity: opts.check_integrity(),
-            };
-            env.run_task(
-                &ctx,
-                &mut resilience.events,
-                &mut integrity_log.events,
-                || {
-                    // Same-source execution across concurrent requests is
-                    // arbitrated EDF; acquired per attempt so the slot is
-                    // never held across a backoff sleep.
-                    let _slot = opts
-                        .gate
-                        .as_ref()
-                        .filter(|_| !effective[id].is_mediator())
-                        .map(|gate| gate.acquire(effective[id], opts.deadline.as_ref()));
-                    exec.run_task(task, args)
-                },
-            )?
-        };
-        let secs = start.elapsed().as_secs_f64();
-        let (rows, bytes, wire) = output
-            .as_ref()
-            .map(|r| (r.len() as f64, r.byte_size() as f64, r.wire_bytes() as f64))
-            .unwrap_or((0.0, 0.0, 0.0));
-        let shipped = output
-            .as_ref()
-            .map(|r| crate::batch::ship_output(opts, &ledger, id, r, |_, _| {}));
-        let (ship_bytes, batches) = shipped
-            .map(|s| (s.ship_bytes, s.batches))
-            .unwrap_or((0.0, 0));
-        if let (Some(key), Some(rel)) = (task.output.clone(), output) {
-            store.insert(key, rel);
-        }
-        measured[id] = Measured {
-            secs,
-            out_rows: rows,
-            out_bytes: bytes,
-            wire_bytes: wire,
-            ship_bytes,
-            batches,
-            in_rows,
-            wait_secs: 0.0,
-            start_secs,
-        };
-        if mid_run && !effective[id].is_mediator() {
-            *completed_at.entry(effective[id]).or_insert(0) += 1;
-        }
-    }
-    Ok(ExecResult {
-        store,
-        measured,
-        resilience,
-        integrity: integrity_log,
-        sched: SchedLog::default(),
-        batch: crate::batch::BatchLog::from_ledger(opts, &ledger),
-    })
+    crate::parallel::drive(aig, catalog, graph, args, opts, None, None)
 }
 
 /// The ship-image size of a task's output under the active ship-cut
@@ -630,7 +418,7 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
 
 /// Total rows across the task's distinct input relations (observability
 /// accounting; reads that fail — e.g. a producer with no output — count 0).
-pub(crate) fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
+pub(crate) fn input_rows(task: &Task, store: &SharedStore<'_>) -> f64 {
     let mut seen = HashSet::new();
     let mut rows = 0.0;
     for (_, key) in &task.deps {
@@ -643,15 +431,15 @@ pub(crate) fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     rows
 }
 
-pub(crate) struct Executor<'a, S: RelSource> {
+pub(crate) struct Executor<'a> {
     pub(crate) aig: &'a Aig,
     pub(crate) catalog: &'a Catalog,
     pub(crate) graph: &'a TaskGraph,
-    pub(crate) store: &'a S,
+    pub(crate) store: &'a SharedStore<'a>,
     pub(crate) opts: &'a ExecOptions,
 }
 
-impl<S: RelSource> Executor<'_, S> {
+impl Executor<'_> {
     /// Runs one task against the relations visible through `store`,
     /// returning the relation it produces (None for guards).
     pub(crate) fn run_task(

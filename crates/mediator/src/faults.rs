@@ -6,8 +6,8 @@
 //! every failure scenario is reproducible: a [`FaultPlan`] decides, as a
 //! pure function of `(seed, source, task, attempt)`, whether an attempt
 //! suffers a transient error, a latency spike, or hits a hard source
-//! outage. Both executors drive recovery through the same
-//! [`FaultEnv::run_task`] loop — retry with exponential backoff and jitter,
+//! outage. The task driver ([`crate::parallel`]) runs every task through
+//! the one [`FaultEnv::run_task`] loop — retry with exponential backoff and jitter,
 //! a per-attempt timeout bounding injected stalls, and (for outages)
 //! failover to a replica declared in the catalog.
 //!
@@ -84,7 +84,7 @@ impl Default for FaultConfig {
 /// A per-request deadline budget: a wall-clock start plus a budget in
 /// seconds. Bound once when a request enters execution
 /// ([`crate::plan::ExecPolicy::deadline_secs`] →
-/// [`crate::exec::ExecOptions::deadline`]) and consulted by both executors
+/// [`crate::exec::ExecOptions::deadline`]) and consulted by the task driver
 /// (no task starts past the deadline) and the retry loop (no attempt starts
 /// past it; backoff and stall sleeps are clamped to the remaining budget).
 /// Because the only in-attempt sleeps are the injected stall — itself
@@ -712,7 +712,7 @@ impl FaultPlan {
     }
 }
 
-/// The per-execution fault environment both executors run tasks through.
+/// The per-execution fault environment the task driver runs tasks through.
 #[derive(Clone, Copy)]
 pub(crate) struct FaultEnv<'a> {
     pub plan: Option<&'a FaultPlan>,
@@ -722,8 +722,7 @@ pub(crate) struct FaultEnv<'a> {
     pub deadline: Option<&'a Deadline>,
 }
 
-/// Everything the fault layer needs to know about the task it wraps —
-/// bundled so both executors call [`FaultEnv::run_task`] identically.
+/// Everything the fault layer needs to know about the task it wraps.
 pub(crate) struct TaskFaultCtx<'a> {
     pub task_id: usize,
     pub label: &'a str,

@@ -1,4 +1,10 @@
-//! The AIG mediator middleware (paper §5) — placeholder while modules land.
+//! The AIG mediator middleware (paper §5): prepares an attribute
+//! integration grammar into a task graph of set-oriented source queries
+//! ([`plan`]), runs that graph through one task driver ([`parallel`]),
+//! tags the resulting relations into a DTD-conforming XML document
+//! ([`tagging`]), and serves requests from a plan cache ([`service`]) or a
+//! logical-clock server ([`server`]). [`pipeline::run`] is the one-shot
+//! entry point.
 pub mod batch;
 pub mod cost;
 pub mod delta;
@@ -43,7 +49,7 @@ pub use obs::{
     PhaseSample, Phases, PlanDeviationObs, ResilienceObs, RunReport, SchedulerObs, ServerObs,
     ShipcutObs, SourceObs, TaskObs, SCHEMA_VERSION,
 };
-pub use parallel::execute_graph_parallel;
+pub use parallel::execute_graph_planned;
 pub use pipeline::{
     canonical, run, run_with_report, MediatorOptions, MediatorOptionsBuilder, MediatorRun,
 };

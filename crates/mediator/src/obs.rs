@@ -122,7 +122,8 @@ pub struct TaskObs {
     pub batches: u64,
     /// Actual in-process execution seconds.
     pub secs: f64,
-    /// Queue/wait seconds before the task could start (parallel executor).
+    /// Queue/wait seconds before the task could start (zero under
+    /// sequential scheduling).
     pub wait_secs: f64,
     /// Start offset from the beginning of the execution phase.
     pub start_secs: f64,
@@ -534,7 +535,8 @@ pub struct RunReport {
     pub depth: usize,
     /// How many unfold→execute rounds the frontier loop took.
     pub unfold_rounds: usize,
-    /// Whether the parallel (per-source worker) executor ran the final round.
+    /// Whether per-source worker threads ran the final round (any
+    /// scheduling mode but `Sequential`).
     pub parallel_exec: bool,
     /// Chronological phase timers covering the run.
     pub phases: Vec<PhaseSample>,

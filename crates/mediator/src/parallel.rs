@@ -1,27 +1,33 @@
-//! Parallel execution of the task graph (paper §5.1, execution phase).
+//! The task driver (paper §5.1, execution phase).
 //!
 //! "At each source, the unprocessed query that is lowest in the plan's
-//! ordering is selected for execution as soon as its inputs are available" —
-//! the sources run concurrently, coordinated by the mediator. Here each
-//! data source (and the mediator) gets a worker thread that walks its
-//! per-source sequence of the plan, blocking until the inputs of the next
-//! task are complete. Relations are written once into per-task slots and
-//! read lock-free afterwards.
+//! ordering is selected for execution as soon as its inputs are available."
+//! One driver runs that rule for every [`Scheduling`] mode:
 //!
-//! The parallel executor produces exactly the relations of the sequential
-//! one (see the equivalence tests); response-time *accounting* stays with
-//! the simulation in [`crate::cost`], which models the paper's network.
-//! That byte-identity is also what lets incremental re-evaluation
-//! ([`crate::delta`]) re-run delta-touched subgraphs with a single
-//! sequential topological walk regardless of which executor produced the
-//! snapshot being spliced: the relations it splices into are the same
-//! either way.
+//! * [`Scheduling::Sequential`] — one worker walks the topological order
+//!   inline on the caller's thread;
+//! * [`Scheduling::Static`] — one worker thread per source walks its planned
+//!   sequence, blocking until the inputs of its next task are complete;
+//! * [`Scheduling::Dynamic`] — one worker thread per source draws the
+//!   highest-priority *ready* task from its source's live queue.
+//!
+//! Relations are written once into per-task slots and read lock-free
+//! afterwards. A run proceeds in rounds: a hard or mid-run outage halts the
+//! round, the dead source fails over to its declared replica, the surviving
+//! subgraph is re-planned, and the next round resumes from the completed
+//! slots. Incremental re-evaluation ([`crate::delta`]) resumes the same way
+//! from a retained snapshot: its reused tasks start out complete.
+//!
+//! Every mode produces the same relations (see the equivalence tests);
+//! response-time *accounting* stays with the simulation in [`crate::cost`],
+//! which models the paper's network.
 
+use crate::batch::{ship_output, BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
-    input_rows, ExecOptions, ExecResult, Executor, Measured, RelSource, RelStore, SchedLog,
-    Scheduling, TaskPick,
+    input_rows, ExecOptions, ExecResult, Executor, Measured, RelStore, SchedLog, Scheduling,
+    TaskPick,
 };
 use crate::faults::{
     FaultEnv, FaultEvent, FaultPlan, IntegrityEvent, IntegrityLog, ResilienceLog, TaskFaultCtx,
@@ -35,8 +41,8 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Write-once relation slots shared between the source workers.
-struct SharedStore<'g> {
+/// Write-once relation slots shared between the workers.
+pub(crate) struct SharedStore<'g> {
     graph: &'g TaskGraph,
     slots: Vec<OnceLock<Relation>>,
     /// Completion flags (also covers tasks with no output, e.g. guards) and
@@ -60,7 +66,7 @@ struct Progress {
     /// Wrong-answer ledger entries appended as tasks complete (any order;
     /// the report canonicalizes).
     integrity: Vec<IntegrityEvent>,
-    /// Live ready-queue state of the current round (None under Static);
+    /// Live ready-queue state of the current round (Dynamic only);
     /// rebuilt — re-primed — at every failover round from the completed
     /// tasks and their measured actuals.
     dyn_sched: Option<DynSched>,
@@ -103,8 +109,9 @@ struct DynSched {
     eval_scale: f64,
 }
 
-impl RelSource for SharedStore<'_> {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
+impl SharedStore<'_> {
+    /// The relation `key`, read from its producer's write-once slot.
+    pub(crate) fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
         let producer = self
             .graph
             .producer
@@ -117,9 +124,7 @@ impl RelSource for SharedStore<'_> {
             ))
         })
     }
-}
 
-impl SharedStore<'_> {
     /// Blocks until every dependency of `task` has completed (or any worker
     /// failed or hit a dead source). Returns false on abort.
     fn wait_for_deps(&self, task: usize) -> bool {
@@ -309,21 +314,14 @@ impl SharedStore<'_> {
     }
 }
 
-/// Executes the task graph with one worker per source, following the given
-/// per-source orders (see [`crate::schedule::schedule`]; pass a plan over
-/// the *uncontracted* graph so node ids are task ids). The returned
-/// [`ExecResult`] carries the same relations as the sequential executor
-/// plus per-task measurements including queue/wait time.
-///
-/// Under fault injection, source tasks retry with backoff through the same
-/// [`FaultEnv`] as the sequential executor. A hard outage aborts the
-/// current round: every worker drains, the dead source's remaining tasks
-/// are re-homed to its declared replica (via a failover catalog view), the
-/// scheduler re-runs on the surviving subgraph
-/// ([`crate::schedule::replan_surviving`]), and a new round of workers
-/// continues from the completed tasks' write-once slots. With no usable
-/// replica the run fails with [`MediatorError::SourceUnavailable`].
-pub fn execute_graph_parallel(
+/// Executes the task graph with a caller-supplied per-source plan (see
+/// [`crate::schedule::schedule`]; pass a plan over the *uncontracted* graph
+/// so node ids are task ids). [`Scheduling::Static`] walks these sequences
+/// and [`Scheduling::Dynamic`] logs its picks' deviations from them;
+/// [`Scheduling::Sequential`] walks the topological order regardless.
+/// [`crate::exec::execute_graph`] is the same driver with the per-source
+/// topological sequences as the plan.
+pub fn execute_graph_planned(
     aig: &Aig,
     catalog: &Catalog,
     graph: &TaskGraph,
@@ -331,28 +329,78 @@ pub fn execute_graph_parallel(
     opts: &ExecOptions,
     per_source: &HashMap<SourceId, Vec<usize>>,
 ) -> Result<ExecResult, MediatorError> {
+    drive(aig, catalog, graph, args, opts, Some(per_source), None)
+}
+
+/// A retained run that an incremental re-evaluation resumes from: every
+/// task outside `rerun` starts complete, with its output slot and its
+/// [`Measured`] row copied from the snapshot.
+pub(crate) struct Resume<'a> {
+    pub store: &'a RelStore,
+    pub measured: &'a [Measured],
+    pub rerun: &'a [bool],
+}
+
+/// The driver behind every execution path. `per_source` defaults to the
+/// per-source topological sequences; `resume` marks the tasks that start
+/// complete.
+///
+/// Under fault injection, source tasks retry with backoff through
+/// [`FaultEnv`]. A hard or mid-run outage halts the current round: the
+/// workers drain, the dead source's remaining tasks are re-homed to its
+/// declared replica (via a failover catalog view), the surviving subgraph
+/// is re-planned ([`crate::schedule::replan_surviving`]), and a new round
+/// continues from the completed tasks' slots. With no usable replica the
+/// run fails with [`MediatorError::SourceUnavailable`].
+pub(crate) fn drive(
+    aig: &Aig,
+    catalog: &Catalog,
+    graph: &TaskGraph,
+    args: &[(&str, Value)],
+    opts: &ExecOptions,
+    per_source: Option<&HashMap<SourceId, Vec<usize>>>,
+    resume: Option<Resume<'_>>,
+) -> Result<ExecResult, MediatorError> {
+    let n = graph.tasks.len();
+    let mut slots: Vec<OnceLock<Relation>> = (0..n).map(|_| OnceLock::new()).collect();
+    let mut progress = Progress {
+        done: vec![false; n],
+        measured: vec![Measured::default(); n],
+        ..Progress::default()
+    };
+    if let Some(resume) = resume {
+        for (id, task) in graph.tasks.iter().enumerate() {
+            if resume.rerun[id] {
+                continue;
+            }
+            if let Some(key) = &task.output {
+                slots[id] = OnceLock::from(resume.store.get(key)?.clone());
+            }
+            progress.done[id] = true;
+            progress.measured[id] = resume.measured[id];
+        }
+    }
     let shared = SharedStore {
         graph,
-        slots: (0..graph.tasks.len()).map(|_| OnceLock::new()).collect(),
-        state: Mutex::new(Progress {
-            done: vec![false; graph.tasks.len()],
-            failed: None,
-            halted: None,
-            measured: vec![Measured::default(); graph.tasks.len()],
-            events: Vec::new(),
-            integrity: Vec::new(),
-            dyn_sched: None,
-            picks: Vec::new(),
-            completed_at: HashMap::new(),
-        }),
+        slots,
+        state: Mutex::new(progress),
         wake: Condvar::new(),
     };
     let epoch = Instant::now();
-    let ship_ledger = crate::batch::ShipLedger::default();
+    let ship_ledger = ShipLedger::default();
+    // Relation profiles only matter when corruptions can be injected or
+    // the guard checks are on; clean runs skip the catalog lookups.
+    let profiling = opts.check_integrity()
+        || opts
+            .faults
+            .as_ref()
+            .is_some_and(|p| p.has_wrong_answer_faults());
     let mut effective: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
     let mut active_catalog: Option<Catalog> = None;
-    let mut plan = per_source.clone();
-    let mut topo_pos = vec![0usize; graph.tasks.len()];
+    let mut plan = per_source
+        .cloned()
+        .unwrap_or_else(|| topo_per_source(graph));
+    let mut topo_pos = vec![0usize; n];
     for (pos, &id) in graph.topo.iter().enumerate() {
         topo_pos[id] = pos;
     }
@@ -366,19 +414,27 @@ pub fn execute_graph_parallel(
         if opts.scheduling() == Scheduling::Dynamic {
             prime_dynamic(&shared, graph, &plan, &effective, opts);
         }
-        run_round(
-            aig,
-            cat,
-            graph,
+        Round {
+            exec: Executor {
+                aig,
+                catalog: cat,
+                graph,
+                store: &shared,
+                opts,
+            },
             args,
-            opts,
-            &shared,
-            &plan,
-            &effective,
-            &topo_pos,
-            &epoch,
-            &ship_ledger,
-        );
+            effective: &effective,
+            topo_pos: &topo_pos,
+            epoch,
+            ship_ledger: &ship_ledger,
+            env: FaultEnv {
+                plan: opts.faults.as_ref(),
+                retry: opts.retry(),
+                deadline: opts.deadline.as_ref(),
+            },
+            profiling,
+        }
+        .run(&plan);
 
         let halted = {
             let mut state = shared.state.lock().expect("store mutex");
@@ -411,7 +467,7 @@ pub fn execute_graph_parallel(
                     dynamic: opts.scheduling() == Scheduling::Dynamic,
                     picks: state.picks,
                 },
-                batch: crate::batch::BatchLog::from_ledger(opts, &ship_ledger),
+                batch: BatchLog::from_ledger(opts, &ship_ledger),
             });
         };
 
@@ -455,6 +511,19 @@ pub fn execute_graph_parallel(
     Err(MediatorError::Internal(
         "failover rounds exceeded the source count".to_string(),
     ))
+}
+
+/// Per-source sequences in topological order: the default plan, always
+/// dependency-safe.
+fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
+    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
+    for &id in &graph.topo {
+        per_source
+            .entry(graph.tasks[id].source)
+            .or_default()
+            .push(id);
+    }
+    per_source
 }
 
 /// Builds (or rebuilds, after a failover) the dynamic scheduler's round
@@ -523,176 +592,164 @@ fn prime_dynamic(
     });
 }
 
-/// One round of per-source workers over `plan`, skipping already-completed
-/// tasks. Returns when every worker has drained (finished its sequence,
-/// failed, or aborted on a halt). Under [`Scheduling::Dynamic`] the planned
-/// sequences only seed the deviation log's planned positions; each worker
-/// instead draws from its source's live ready queue.
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    aig: &Aig,
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    args: &[(&str, Value)],
-    opts: &ExecOptions,
-    shared: &SharedStore<'_>,
-    plan: &HashMap<SourceId, Vec<usize>>,
-    effective: &[SourceId],
-    topo_pos: &[usize],
-    epoch: &Instant,
-    ship_ledger: &crate::batch::ShipLedger,
-) {
-    let profiling = opts.check_integrity()
-        || opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_wrong_answer_faults());
-    std::thread::scope(|scope| {
-        for (source, sequence) in plan {
-            let source = *source;
-            let sequence = sequence.clone();
-            std::thread::Builder::new()
-                .name(format!("aig-source-{}", source.0))
-                .spawn_scoped(scope, move || {
-                    let exec = Executor {
-                        aig,
-                        catalog,
-                        graph,
-                        store: shared,
-                        opts,
-                    };
-                    let env = FaultEnv {
-                        plan: opts.faults.as_ref(),
-                        retry: opts.retry(),
-                        deadline: opts.deadline.as_ref(),
-                    };
-                    // Runs one task and records its measurements; returns
-                    // false when the worker must stop (the task failed).
-                    let run_one = |task_id: usize, wait_secs: f64| -> bool {
-                        let task = &graph.tasks[task_id];
-                        let in_rows = input_rows(task, shared);
-                        let started = Instant::now();
-                        let start_secs = (started - *epoch).as_secs_f64();
-                        let failed_over_from = (effective[task_id] != task.source)
-                            .then(|| catalog.source(task.source).name());
-                        let profile = if profiling {
-                            integrity::profile_task(task, catalog)
-                        } else {
-                            None
-                        };
-                        let mut events = Vec::new();
-                        let mut ledger = Vec::new();
-                        if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(task_id)) {
-                            crate::faults::sleep_secs(*secs);
-                        }
-                        let ctx = TaskFaultCtx {
-                            task_id,
-                            label: &task.label,
-                            source: effective[task_id],
-                            source_name: catalog.source(effective[task_id]).name(),
-                            table: integrity::task_table(task),
-                            failed_over_from,
-                            profile: profile.as_ref(),
-                            check_integrity: opts.check_integrity(),
-                        };
-                        let result = env.run_task(&ctx, &mut events, &mut ledger, || {
-                            // Cross-request EDF arbitration per attempt
-                            // (dependencies are complete before run_one, so
-                            // holding the slot can never deadlock).
-                            let _slot = opts
-                                .gate
-                                .as_ref()
-                                .filter(|_| !effective[task_id].is_mediator())
-                                .map(|gate| {
-                                    gate.acquire(effective[task_id], opts.deadline.as_ref())
-                                });
-                            exec.run_task(task, args)
-                        });
-                        let secs = started.elapsed().as_secs_f64();
-                        let (out_rows, out_bytes, wire_bytes, ship_bytes, batches) = match &result {
-                            Ok(Some(rel)) => {
-                                let shipped = crate::batch::ship_output(
-                                    opts,
-                                    ship_ledger,
-                                    task_id,
-                                    rel,
-                                    |_, bytes| {
-                                        shared.note_batch(task_id, bytes);
-                                    },
-                                );
-                                (
-                                    rel.len() as f64,
-                                    rel.byte_size() as f64,
-                                    rel.wire_bytes() as f64,
-                                    shipped.ship_bytes,
-                                    shipped.batches,
-                                )
-                            }
-                            _ => (0.0, 0.0, 0.0, 0.0, 0),
-                        };
-                        let failed = result.is_err();
-                        shared.complete(
-                            task_id,
-                            effective[task_id],
-                            result,
-                            Measured {
-                                secs,
-                                out_rows,
-                                out_bytes,
-                                wire_bytes,
-                                ship_bytes,
-                                batches,
-                                in_rows,
-                                wait_secs,
-                                start_secs,
-                            },
-                            events,
-                            ledger,
-                        );
-                        !failed
-                    };
-                    match opts.scheduling() {
-                        Scheduling::Static => {
-                            for task_id in sequence {
-                                if shared.is_done(task_id) {
-                                    continue;
-                                }
-                                // A dead source aborts the round *before*
-                                // blocking on dependencies, so no worker
-                                // waits on output that will never come.
-                                if let Some(plan) = &env.plan {
-                                    if plan.source_down(effective[task_id])
-                                        || shared.outage_reached(plan, effective[task_id])
-                                    {
-                                        shared.halt(effective[task_id]);
-                                        return;
-                                    }
-                                }
-                                let queued = Instant::now();
-                                if !shared.wait_for_deps(task_id) {
-                                    return; // another worker failed or halted
-                                }
-                                if !run_one(task_id, queued.elapsed().as_secs_f64()) {
-                                    return;
-                                }
-                            }
-                        }
-                        Scheduling::Dynamic => loop {
-                            let queued = Instant::now();
-                            let Some(task_id) =
-                                shared.pick_next(source, opts.network(), topo_pos, env.plan)
-                            else {
-                                return; // drained, halted, or failed
-                            };
-                            if !run_one(task_id, queued.elapsed().as_secs_f64()) {
-                                return;
-                            }
-                        },
-                    }
-                })
-                .expect("spawn source worker");
+/// One round of the driver: the catalog view and source homes fixed
+/// between failovers, plus what every worker shares.
+struct Round<'a> {
+    exec: Executor<'a>,
+    args: &'a [(&'a str, Value)],
+    effective: &'a [SourceId],
+    topo_pos: &'a [usize],
+    epoch: Instant,
+    ship_ledger: &'a ShipLedger,
+    env: FaultEnv<'a>,
+    profiling: bool,
+}
+
+impl Round<'_> {
+    /// Runs the round's workers until every one has drained (finished its
+    /// work, failed, or stopped on a halt). Under [`Scheduling::Dynamic`]
+    /// the planned sequences only seed the deviation log's planned
+    /// positions; each worker draws from its source's live ready queue.
+    fn run(&self, plan: &HashMap<SourceId, Vec<usize>>) {
+        let mode = self.exec.opts.scheduling();
+        if mode == Scheduling::Sequential {
+            return self.walk(&self.exec.graph.topo, false);
         }
-    });
+        std::thread::scope(|scope| {
+            for (&source, sequence) in plan {
+                std::thread::Builder::new()
+                    .name(format!("aig-source-{}", source.0))
+                    .spawn_scoped(scope, move || match mode {
+                        Scheduling::Dynamic => self.drain(source),
+                        _ => self.walk(sequence, true),
+                    })
+                    .expect("spawn source worker");
+            }
+        });
+    }
+
+    /// Runs `sequence` in order, skipping completed tasks. With `block`,
+    /// each task first waits for its inputs and records the wait; without
+    /// it the sequence must be dependency-ordered and every wait is zero.
+    fn walk(&self, sequence: &[usize], block: bool) {
+        let shared = self.exec.store;
+        for &task in sequence {
+            if shared.is_done(task) {
+                continue;
+            }
+            // A dead source aborts the round *before* blocking on
+            // dependencies, so no worker waits on output that will never
+            // come.
+            let source = self.effective[task];
+            if let Some(plan) = self.env.plan {
+                if plan.source_down(source) || shared.outage_reached(plan, source) {
+                    shared.halt(source);
+                    return;
+                }
+            }
+            let queued = Instant::now();
+            if block && !shared.wait_for_deps(task) {
+                return; // another worker failed or halted
+            }
+            let wait_secs = if block {
+                queued.elapsed().as_secs_f64()
+            } else {
+                0.0
+            };
+            if !self.run_one(task, wait_secs) {
+                return;
+            }
+        }
+    }
+
+    /// Dynamic worker: runs the ready tasks of `source` in priority order
+    /// until the source drains, halts, or the round fails.
+    fn drain(&self, source: SourceId) {
+        loop {
+            let queued = Instant::now();
+            let Some(task) = self.exec.store.pick_next(
+                source,
+                self.exec.opts.network(),
+                self.topo_pos,
+                self.env.plan,
+            ) else {
+                return;
+            };
+            if !self.run_one(task, queued.elapsed().as_secs_f64()) {
+                return;
+            }
+        }
+    }
+
+    /// The per-task step of every mode: pacing, the fault and retry
+    /// envelope under the cross-request EDF gate, ship accounting, and the
+    /// task's [`Measured`] row. Returns false when the task failed.
+    fn run_one(&self, task_id: usize, wait_secs: f64) -> bool {
+        let Executor {
+            catalog,
+            graph,
+            store: shared,
+            opts,
+            ..
+        } = self.exec;
+        let task = &graph.tasks[task_id];
+        let source = self.effective[task_id];
+        let in_rows = input_rows(task, shared);
+        let started = Instant::now();
+        let start_secs = (started - self.epoch).as_secs_f64();
+        let profile = if self.profiling {
+            integrity::profile_task(task, catalog)
+        } else {
+            None
+        };
+        if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(task_id)) {
+            crate::faults::sleep_secs(*secs);
+        }
+        let ctx = TaskFaultCtx {
+            task_id,
+            label: &task.label,
+            source,
+            source_name: catalog.source(source).name(),
+            table: integrity::task_table(task),
+            failed_over_from: (source != task.source).then(|| catalog.source(task.source).name()),
+            profile: profile.as_ref(),
+            check_integrity: opts.check_integrity(),
+        };
+        let mut events = Vec::new();
+        let mut ledger = Vec::new();
+        let result = self.env.run_task(&ctx, &mut events, &mut ledger, || {
+            // Same-source execution across concurrent requests is
+            // arbitrated EDF, acquired per attempt so the slot is never held
+            // across a backoff sleep; the task's inputs are complete, so
+            // holding it can never deadlock.
+            let _slot = opts
+                .gate
+                .as_ref()
+                .filter(|_| !source.is_mediator())
+                .map(|gate| gate.acquire(source, opts.deadline.as_ref()));
+            self.exec.run_task(task, self.args)
+        });
+        let mut measured = Measured {
+            secs: started.elapsed().as_secs_f64(),
+            in_rows,
+            wait_secs,
+            start_secs,
+            ..Measured::default()
+        };
+        if let Ok(Some(rel)) = &result {
+            let shipped = ship_output(opts, self.ship_ledger, task_id, rel, |_, bytes| {
+                shared.note_batch(task_id, bytes);
+            });
+            measured.out_rows = rel.len() as f64;
+            measured.out_bytes = rel.byte_size() as f64;
+            measured.wire_bytes = rel.wire_bytes() as f64;
+            measured.ship_bytes = shipped.ship_bytes;
+            measured.batches = shipped.batches;
+        }
+        let failed = result.is_err();
+        shared.complete(task_id, source, result, measured, events, ledger);
+        !failed
+    }
 }
 
 #[cfg(test)]
@@ -714,37 +771,34 @@ mod tests {
         (unfolded.aig, catalog, graph)
     }
 
-    /// Per-source sequences in topological order (always dependency-safe).
-    fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-        let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-        for &id in &graph.topo {
-            per_source
-                .entry(graph.tasks[id].source)
-                .or_default()
-                .push(id);
-        }
-        per_source
+    fn mode(scheduling: Scheduling) -> ExecOptions {
+        ExecOptions::default().with_scheduling(scheduling)
     }
 
-    #[test]
-    fn parallel_execution_matches_sequential() {
-        let (aig, catalog, graph) = setup();
-        let args = [("date", Value::str("d1"))];
-        let opts = ExecOptions::default();
-        let sequential = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
-        let plan = topo_plan(&graph);
-        let parallel = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
+    fn assert_same_relations(graph: &TaskGraph, a: &ExecResult, b: &ExecResult) {
         for task in &graph.tasks {
             if let Some(key) = &task.output {
                 assert_eq!(
-                    sequential.store.get(key).unwrap(),
-                    parallel.store.get(key).unwrap(),
+                    a.store.get(key).unwrap(),
+                    b.store.get(key).unwrap(),
                     "{}",
                     task.label
                 );
             }
         }
-        // Measurements line up with the sequential executor on sizes.
+    }
+
+    #[test]
+    fn static_execution_matches_sequential() {
+        let (aig, catalog, graph) = setup();
+        let args = [("date", Value::str("d1"))];
+        let sequential =
+            execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
+        let parallel =
+            execute_graph(&aig, &catalog, &graph, &args, &mode(Scheduling::Static)).unwrap();
+        assert_same_relations(&graph, &sequential, &parallel);
+        // Measurements line up on sizes; only the sequential walk never
+        // waits.
         for (id, (s, p)) in sequential
             .measured
             .iter()
@@ -754,8 +808,10 @@ mod tests {
             assert_eq!(s.out_rows, p.out_rows, "task {id} rows");
             assert_eq!(s.out_bytes, p.out_bytes, "task {id} bytes");
             assert_eq!(s.in_rows, p.in_rows, "task {id} input rows");
+            assert_eq!(s.wait_secs, 0.0, "task {id} waited sequentially");
             assert!(p.wait_secs >= 0.0 && p.secs >= 0.0);
         }
+        assert!(!sequential.sched.dynamic && sequential.sched.picks.is_empty());
     }
 
     #[test]
@@ -764,19 +820,9 @@ mod tests {
         let args = [("date", Value::str("d1"))];
         let sequential =
             execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-        let opts = ExecOptions::default().with_scheduling(Scheduling::Dynamic);
-        let plan = topo_plan(&graph);
-        let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
-        for task in &graph.tasks {
-            if let Some(key) = &task.output {
-                assert_eq!(
-                    sequential.store.get(key).unwrap(),
-                    dynamic.store.get(key).unwrap(),
-                    "{}",
-                    task.label
-                );
-            }
-        }
+        let dynamic =
+            execute_graph(&aig, &catalog, &graph, &args, &mode(Scheduling::Dynamic)).unwrap();
+        assert_same_relations(&graph, &sequential, &dynamic);
         assert!(dynamic.sched.dynamic);
         // Every task goes through the ready queue exactly once.
         assert_eq!(dynamic.sched.picks.len(), graph.tasks.len());
@@ -793,27 +839,18 @@ mod tests {
         // never execute (same-source consumers before their producers). The
         // dynamic scheduler only reads the sequences to seed the deviation
         // log's planned positions, so the run still completes, still matches
-        // the sequential executor, and the log shows the disagreement.
+        // the sequential walk, and the log shows the disagreement.
         let (aig, catalog, graph) = setup();
         let args = [("date", Value::str("d1"))];
         let sequential =
             execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-        let mut plan = topo_plan(&graph);
+        let mut plan = topo_per_source(&graph);
         for seq in plan.values_mut() {
             seq.reverse();
         }
-        let opts = ExecOptions::default().with_scheduling(Scheduling::Dynamic);
-        let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
-        for task in &graph.tasks {
-            if let Some(key) = &task.output {
-                assert_eq!(
-                    sequential.store.get(key).unwrap(),
-                    dynamic.store.get(key).unwrap(),
-                    "{}",
-                    task.label
-                );
-            }
-        }
+        let opts = mode(Scheduling::Dynamic);
+        let dynamic = execute_graph_planned(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
+        assert_same_relations(&graph, &sequential, &dynamic);
         assert!(
             !dynamic.sched.deviations().is_empty(),
             "a reversed plan must surface deviations"
@@ -821,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_propagates_guard_violations() {
+    fn every_mode_propagates_guard_violations() {
         let (aig, _catalog, _) = setup();
         // Corrupt the billing table (duplicate trId) so the key guard fires.
         let mut catalog = mini_hospital_catalog().unwrap();
@@ -844,22 +881,107 @@ mod tests {
         }
         catalog.source_mut(dst).add_table(billing).unwrap();
         let graph = build_graph(&aig, &catalog, &GraphOptions::default()).unwrap();
-        let plan = topo_plan(&graph);
-        let err = execute_graph_parallel(
+        for scheduling in [
+            Scheduling::Sequential,
+            Scheduling::Static,
+            Scheduling::Dynamic,
+        ] {
+            let err = execute_graph(
+                &aig,
+                &catalog,
+                &graph,
+                &[("date", Value::str("d1"))],
+                &mode(scheduling),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MediatorError::Aig(AigError::ConstraintViolation { .. })
+                ),
+                "{scheduling:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn resuming_with_an_all_false_mask_runs_no_task() {
+        let (aig, catalog, graph) = setup();
+        let args = [("date", Value::str("d1"))];
+        let cold = execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
+        let rerun = vec![false; graph.tasks.len()];
+        for scheduling in [
+            Scheduling::Sequential,
+            Scheduling::Static,
+            Scheduling::Dynamic,
+        ] {
+            let resumed = drive(
+                &aig,
+                &catalog,
+                &graph,
+                &args,
+                &mode(scheduling),
+                None,
+                Some(Resume {
+                    store: &cold.store,
+                    measured: &cold.measured,
+                    rerun: &rerun,
+                }),
+            )
+            .unwrap();
+            assert_same_relations(&graph, &cold, &resumed);
+            assert_eq!(resumed.store.len(), cold.store.len());
+            assert!(resumed.sched.picks.is_empty(), "{scheduling:?} picked");
+            assert_eq!(resumed.batch.total_batches, 0, "{scheduling:?} shipped");
+            for (id, (c, r)) in cold.measured.iter().zip(&resumed.measured).enumerate() {
+                assert_eq!(c.secs, r.secs, "{scheduling:?} task {id} re-ran");
+                assert_eq!(c.start_secs, r.start_secs);
+            }
+        }
+    }
+
+    #[test]
+    fn resuming_with_an_all_true_mask_equals_a_cold_run() {
+        let (aig, catalog, graph) = setup();
+        let args = [("date", Value::str("d2"))];
+        let cold = execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
+        // The snapshot is of another binding: a full mask must overwrite
+        // every reused relation.
+        let other = execute_graph(
             &aig,
             &catalog,
             &graph,
             &[("date", Value::str("d1"))],
             &ExecOptions::default(),
-            &plan,
         )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                MediatorError::Aig(AigError::ConstraintViolation { .. })
-            ),
-            "{err}"
-        );
+        .unwrap();
+        let rerun = vec![true; graph.tasks.len()];
+        for scheduling in [
+            Scheduling::Sequential,
+            Scheduling::Static,
+            Scheduling::Dynamic,
+        ] {
+            let resumed = drive(
+                &aig,
+                &catalog,
+                &graph,
+                &args,
+                &mode(scheduling),
+                None,
+                Some(Resume {
+                    store: &other.store,
+                    measured: &other.measured,
+                    rerun: &rerun,
+                }),
+            )
+            .unwrap();
+            assert_same_relations(&graph, &cold, &resumed);
+            assert_eq!(resumed.store.len(), cold.store.len());
+            assert_eq!(resumed.batch.total_batches, cold.batch.total_batches);
+            for (c, r) in cold.measured.iter().zip(&resumed.measured) {
+                assert_eq!(c.out_rows, r.out_rows);
+                assert_eq!(c.ship_bytes, r.ship_bytes);
+            }
+        }
     }
 }

@@ -28,102 +28,15 @@ use aig_relstore::{Catalog, Value};
 use aig_xml::XmlTree;
 use std::collections::BTreeMap;
 
-/// Options of a mediator run: the compatibility facade over the split
-/// [`PlanOptions`] (argument-independent planning) and [`ExecPolicy`]
-/// (per-request execution). Construct with [`MediatorOptions::default`] and
-/// mutate fields, or chain [`MediatorOptions::builder`].
-#[derive(Debug, Clone)]
+/// Options of a mediator run: the argument-independent [`PlanOptions`]
+/// the **Prepare** stage consumes (and that identify a cached plan), and
+/// the per-request [`ExecPolicy`] the **Execute** stage consumes.
+/// Construct with [`MediatorOptions::default`] and mutate fields, or chain
+/// [`MediatorOptions::builder`].
+#[derive(Debug, Clone, Default)]
 pub struct MediatorOptions {
-    /// Initial unfolding depth for recursive AIGs ("a user-supplied estimate
-    /// d of the maximum depth", §5.5).
-    pub unfold_depth: usize,
-    /// Upper bound for frontier-driven re-unfolding.
-    pub max_depth: usize,
-    /// Truncate at the depth (the paper's §6 setup) or detect and extend.
-    pub cutoff: CutOff,
-    /// Whether query merging (§5.4) is applied when reporting response time.
-    pub merging: bool,
-    /// Whether compiled-constraint guards abort the run.
-    pub check_guards: bool,
-    /// Whether the output is validated against the DTD (sanity check).
-    pub validate_output: bool,
-    /// Whether the integrity defense runs: per-task guard checks on shipped
-    /// relations plus the key/inclusion constraint check on the tagged
-    /// document (see [`crate::integrity`]).
-    pub check_integrity: bool,
-    /// Execute with the per-source worker threads of [`crate::parallel`]
-    /// instead of the sequential executor (identical relations; the run
-    /// report additionally carries per-task queue/wait times).
-    pub parallel_exec: bool,
-    pub network: NetworkModel,
-    pub graph: GraphOptions,
-    /// Deterministic fault injection for source tasks (None = no faults).
-    pub faults: Option<FaultConfig>,
-    /// Retry/backoff/timeout policy when faults are injected.
-    pub retry: RetryPolicy,
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling
-    /// in the parallel executor; ignored by the sequential executor.
-    pub scheduling: Scheduling,
-    /// Column-liveness pruning at ship boundaries: shipped relations are
-    /// projected to the columns downstream consumers actually read (and
-    /// deduplicated for set-semantics consumers) before byte accounting.
-    /// Stores and the final document are byte-identical either way.
-    pub shipcut: bool,
-    /// Worker threads for the partitioned in-process kernels (hash join,
-    /// canonical sort, dedup). `1` = sequential; results are byte-identical
-    /// at any thread count.
-    pub threads: usize,
-    /// Minimum input size (rows) before a partitioned kernel engages;
-    /// smaller inputs stay sequential. Byte-identical at any value — tests
-    /// pin it to force either kernel path on small fixtures.
-    pub par_threshold: usize,
-    /// Per-request deadline budget in seconds (None = unbounded): no task
-    /// attempt starts past it and expiry surfaces as
-    /// [`crate::MediatorError::DeadlineExceeded`].
-    pub deadline_secs: Option<f64>,
-    /// Chunked shipment (streaming batch execution, see [`crate::batch`]):
-    /// task outputs cross the ship seam in `batch_rows`-row batches and
-    /// source queries feed hash-join builds and dedup incrementally, so
-    /// peak resident shipment rows are bounded by the batch size instead
-    /// of the largest relation. Stores and the final document are
-    /// byte-identical either way. Off by default.
-    pub batching: bool,
-    /// Batch size (rows) of the chunked shipment seam; only consulted when
-    /// `batching` is on. Must be nonzero (validated at build time).
-    pub batch_rows: usize,
-    /// Incremental re-evaluation on source deltas ([`crate::delta`]): the
-    /// `Mediator` service keeps a post-run snapshot per plan and, after a
-    /// row delta, re-runs only the affected task subgraph. One-shot `run`
-    /// calls ignore the flag (there is no snapshot to reuse); documents
-    /// are byte-identical either way. Off by default.
-    pub incremental: bool,
-}
-
-impl Default for MediatorOptions {
-    fn default() -> Self {
-        MediatorOptions {
-            unfold_depth: 3,
-            max_depth: 64,
-            cutoff: CutOff::Frontier,
-            merging: true,
-            check_guards: true,
-            validate_output: true,
-            check_integrity: false,
-            parallel_exec: false,
-            network: NetworkModel::default(),
-            graph: GraphOptions::default(),
-            faults: None,
-            retry: RetryPolicy::default(),
-            scheduling: Scheduling::default(),
-            shipcut: true,
-            threads: 1,
-            par_threshold: aig_relstore::par::PAR_THRESHOLD,
-            deadline_secs: None,
-            batching: false,
-            batch_rows: 2048,
-            incremental: false,
-        }
-    }
+    pub plan: PlanOptions,
+    pub policy: ExecPolicy,
 }
 
 impl MediatorOptions {
@@ -139,90 +52,20 @@ impl MediatorOptions {
     /// too): zero knobs that would otherwise be silently clamped, and
     /// contradictory switch combinations, surface as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
+        let policy = &self.policy;
+        if policy.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        if self.par_threshold == 0 {
+        if policy.par_threshold == 0 {
             return Err(ConfigError::ZeroParThreshold);
         }
-        if self.batch_rows == 0 {
+        if policy.batch_rows == 0 {
             return Err(ConfigError::ZeroBatchRows);
         }
-        if self.batching && !self.shipcut {
+        if policy.batching && !self.plan.shipcut {
             return Err(ConfigError::BatchingWithoutShipcut);
         }
         Ok(())
-    }
-
-    /// The argument-independent half: what the **Prepare** stage consumes
-    /// (and what identifies a cached plan).
-    pub fn plan_options(&self) -> PlanOptions {
-        PlanOptions {
-            unfold_depth: self.unfold_depth,
-            max_depth: self.max_depth,
-            cutoff: self.cutoff,
-            merging: self.merging,
-            graph: self.graph.clone(),
-            shipcut: self.shipcut,
-        }
-    }
-
-    /// The per-request half: what the **Execute** stage consumes.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy {
-            check_guards: self.check_guards,
-            validate_output: self.validate_output,
-            check_integrity: self.check_integrity,
-            parallel_exec: self.parallel_exec,
-            network: self.network.clone(),
-            faults: self.faults.clone(),
-            retry: self.retry.clone(),
-            scheduling: self.scheduling,
-            threads: self.threads,
-            par_threshold: self.par_threshold,
-            deadline_secs: self.deadline_secs,
-            batching: self.batching,
-            batch_rows: self.batch_rows,
-            incremental: self.incremental,
-        }
-    }
-
-    /// Reassembles the facade from its two halves.
-    pub fn from_parts(plan: PlanOptions, policy: ExecPolicy) -> MediatorOptions {
-        MediatorOptions {
-            unfold_depth: plan.unfold_depth,
-            max_depth: plan.max_depth,
-            cutoff: plan.cutoff,
-            merging: plan.merging,
-            graph: plan.graph,
-            shipcut: plan.shipcut,
-            check_guards: policy.check_guards,
-            validate_output: policy.validate_output,
-            check_integrity: policy.check_integrity,
-            parallel_exec: policy.parallel_exec,
-            network: policy.network,
-            faults: policy.faults,
-            retry: policy.retry,
-            scheduling: policy.scheduling,
-            threads: policy.threads,
-            par_threshold: policy.par_threshold,
-            deadline_secs: policy.deadline_secs,
-            batching: policy.batching,
-            batch_rows: policy.batch_rows,
-            incremental: policy.incremental,
-        }
-    }
-}
-
-impl From<&MediatorOptions> for PlanOptions {
-    fn from(options: &MediatorOptions) -> PlanOptions {
-        options.plan_options()
-    }
-}
-
-impl From<&MediatorOptions> for ExecPolicy {
-    fn from(options: &MediatorOptions) -> ExecPolicy {
-        options.exec_policy()
     }
 }
 
@@ -236,12 +79,11 @@ impl From<&MediatorOptions> for ExecPolicy {
 /// let options = MediatorOptions::builder()
 ///     .unfold_depth(1)
 ///     .cutoff(CutOff::Frontier)
-///     .parallel_exec(true)
 ///     .scheduling(Scheduling::Dynamic)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(options.unfold_depth, 1);
-/// assert!(options.parallel_exec);
+/// assert_eq!(options.plan.unfold_depth, 1);
+/// assert_eq!(options.policy.scheduling, Scheduling::Dynamic);
 ///
 /// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
 /// assert_eq!(err, ConfigError::ZeroThreads);
@@ -259,10 +101,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().unfold_depth(5).build().unwrap();
-    /// assert_eq!(o.unfold_depth, 5);
+    /// assert_eq!(o.plan.unfold_depth, 5);
     /// ```
     pub fn unfold_depth(mut self, depth: usize) -> Self {
-        self.options.unfold_depth = depth;
+        self.options.plan.unfold_depth = depth;
         self
     }
 
@@ -271,10 +113,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().max_depth(8).build().unwrap();
-    /// assert_eq!(o.max_depth, 8);
+    /// assert_eq!(o.plan.max_depth, 8);
     /// ```
     pub fn max_depth(mut self, depth: usize) -> Self {
-        self.options.max_depth = depth;
+        self.options.plan.max_depth = depth;
         self
     }
 
@@ -283,10 +125,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{CutOff, MediatorOptions};
     /// let o = MediatorOptions::builder().cutoff(CutOff::Truncate).build().unwrap();
-    /// assert_eq!(o.cutoff, CutOff::Truncate);
+    /// assert_eq!(o.plan.cutoff, CutOff::Truncate);
     /// ```
     pub fn cutoff(mut self, cutoff: CutOff) -> Self {
-        self.options.cutoff = cutoff;
+        self.options.plan.cutoff = cutoff;
         self
     }
 
@@ -295,10 +137,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().merging(false).build().unwrap();
-    /// assert!(!o.merging);
+    /// assert!(!o.plan.merging);
     /// ```
     pub fn merging(mut self, merging: bool) -> Self {
-        self.options.merging = merging;
+        self.options.plan.merging = merging;
         self
     }
 
@@ -307,10 +149,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().check_guards(false).build().unwrap();
-    /// assert!(!o.check_guards);
+    /// assert!(!o.policy.check_guards);
     /// ```
     pub fn check_guards(mut self, check: bool) -> Self {
-        self.options.check_guards = check;
+        self.options.policy.check_guards = check;
         self
     }
 
@@ -319,10 +161,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().validate_output(false).build().unwrap();
-    /// assert!(!o.validate_output);
+    /// assert!(!o.policy.validate_output);
     /// ```
     pub fn validate_output(mut self, validate: bool) -> Self {
-        self.options.validate_output = validate;
+        self.options.policy.validate_output = validate;
         self
     }
 
@@ -331,22 +173,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().check_integrity(true).build().unwrap();
-    /// assert!(o.check_integrity);
+    /// assert!(o.policy.check_integrity);
     /// ```
     pub fn check_integrity(mut self, check: bool) -> Self {
-        self.options.check_integrity = check;
-        self
-    }
-
-    /// Execute with the per-source worker threads of [`crate::parallel`].
-    ///
-    /// ```
-    /// use aig_mediator::MediatorOptions;
-    /// let o = MediatorOptions::builder().parallel_exec(true).build().unwrap();
-    /// assert!(o.parallel_exec);
-    /// ```
-    pub fn parallel_exec(mut self, parallel: bool) -> Self {
-        self.options.parallel_exec = parallel;
+        self.options.policy.check_integrity = check;
         self
     }
 
@@ -355,10 +185,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{MediatorOptions, NetworkModel};
     /// let o = MediatorOptions::builder().network(NetworkModel::mbps(8.0)).build().unwrap();
-    /// assert_eq!(o.network.bandwidth_bytes_per_sec, 1_000_000.0);
+    /// assert_eq!(o.policy.network.bandwidth_bytes_per_sec, 1_000_000.0);
     /// ```
     pub fn network(mut self, network: NetworkModel) -> Self {
-        self.options.network = network;
+        self.options.policy.network = network;
         self
     }
 
@@ -369,10 +199,10 @@ impl MediatorOptionsBuilder {
     /// let mut g = GraphOptions::default();
     /// g.eval_scale = 2.0;
     /// let o = MediatorOptions::builder().graph(g).build().unwrap();
-    /// assert_eq!(o.graph.eval_scale, 2.0);
+    /// assert_eq!(o.plan.graph.eval_scale, 2.0);
     /// ```
     pub fn graph(mut self, graph: GraphOptions) -> Self {
-        self.options.graph = graph;
+        self.options.plan.graph = graph;
         self
     }
 
@@ -381,10 +211,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{FaultConfig, MediatorOptions};
     /// let o = MediatorOptions::builder().faults(Some(FaultConfig::default())).build().unwrap();
-    /// assert!(o.faults.is_some());
+    /// assert!(o.policy.faults.is_some());
     /// ```
     pub fn faults(mut self, faults: Option<FaultConfig>) -> Self {
-        self.options.faults = faults;
+        self.options.policy.faults = faults;
         self
     }
 
@@ -395,22 +225,23 @@ impl MediatorOptionsBuilder {
     /// let mut r = RetryPolicy::default();
     /// r.max_attempts = 7;
     /// let o = MediatorOptions::builder().retry(r).build().unwrap();
-    /// assert_eq!(o.retry.max_attempts, 7);
+    /// assert_eq!(o.policy.retry.max_attempts, 7);
     /// ```
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.options.retry = retry;
+        self.options.policy.retry = retry;
         self
     }
 
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling.
+    /// How the task driver walks the graph: inline topological order (the
+    /// default), per-source planned sequences, or per-source ready queues.
     ///
     /// ```
     /// use aig_mediator::{MediatorOptions, Scheduling};
     /// let o = MediatorOptions::builder().scheduling(Scheduling::Dynamic).build().unwrap();
-    /// assert_eq!(o.scheduling, Scheduling::Dynamic);
+    /// assert_eq!(o.policy.scheduling, Scheduling::Dynamic);
     /// ```
     pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.options.scheduling = scheduling;
+        self.options.policy.scheduling = scheduling;
         self
     }
 
@@ -419,10 +250,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().shipcut(false).build().unwrap();
-    /// assert!(!o.shipcut);
+    /// assert!(!o.plan.shipcut);
     /// ```
     pub fn shipcut(mut self, shipcut: bool) -> Self {
-        self.options.shipcut = shipcut;
+        self.options.plan.shipcut = shipcut;
         self
     }
 
@@ -433,12 +264,12 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().threads(4).build().unwrap();
-    /// assert_eq!(o.threads, 4);
+    /// assert_eq!(o.policy.threads, 4);
     /// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
     /// assert_eq!(err, ConfigError::ZeroThreads);
     /// ```
     pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
+        self.options.policy.threads = threads;
         self
     }
 
@@ -448,12 +279,12 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().par_threshold(64).build().unwrap();
-    /// assert_eq!(o.par_threshold, 64);
+    /// assert_eq!(o.policy.par_threshold, 64);
     /// let err = MediatorOptions::builder().par_threshold(0).build().unwrap_err();
     /// assert_eq!(err, ConfigError::ZeroParThreshold);
     /// ```
     pub fn par_threshold(mut self, threshold: usize) -> Self {
-        self.options.par_threshold = threshold;
+        self.options.policy.par_threshold = threshold;
         self
     }
 
@@ -462,10 +293,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().deadline_secs(Some(0.5)).build().unwrap();
-    /// assert_eq!(o.deadline_secs, Some(0.5));
+    /// assert_eq!(o.policy.deadline_secs, Some(0.5));
     /// ```
     pub fn deadline_secs(mut self, budget: Option<f64>) -> Self {
-        self.options.deadline_secs = budget;
+        self.options.policy.deadline_secs = budget;
         self
     }
 
@@ -475,7 +306,7 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().batching(true).build().unwrap();
-    /// assert!(o.batching);
+    /// assert!(o.policy.batching);
     /// let err = MediatorOptions::builder()
     ///     .batching(true)
     ///     .shipcut(false)
@@ -484,7 +315,7 @@ impl MediatorOptionsBuilder {
     /// assert_eq!(err, ConfigError::BatchingWithoutShipcut);
     /// ```
     pub fn batching(mut self, batching: bool) -> Self {
-        self.options.batching = batching;
+        self.options.policy.batching = batching;
         self
     }
 
@@ -495,12 +326,12 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().batch_rows(256).build().unwrap();
-    /// assert_eq!(o.batch_rows, 256);
+    /// assert_eq!(o.policy.batch_rows, 256);
     /// let err = MediatorOptions::builder().batch_rows(0).build().unwrap_err();
     /// assert_eq!(err, ConfigError::ZeroBatchRows);
     /// ```
     pub fn batch_rows(mut self, rows: usize) -> Self {
-        self.options.batch_rows = rows;
+        self.options.policy.batch_rows = rows;
         self
     }
 
@@ -510,10 +341,10 @@ impl MediatorOptionsBuilder {
     /// ```
     /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().incremental(true).build().unwrap();
-    /// assert!(o.incremental);
+    /// assert!(o.policy.incremental);
     /// ```
     pub fn incremental(mut self, incremental: bool) -> Self {
-        self.options.incremental = incremental;
+        self.options.policy.incremental = incremental;
         self
     }
 
@@ -608,15 +439,14 @@ pub fn run_with_report(
     // (struct literals, mutated defaults) take the same gate.
     options.validate()?;
     let mut phases = Phases::new();
-    let plan_options = options.plan_options();
-    let policy = options.exec_policy();
+    let plan_options = &options.plan;
 
     // Derive the executor options once (not per unfold round); bind the
     // fault model once so every round replays the same fault stream, and
     // carry the evaluation-scale calibration from the plan-side options.
-    let mut exec_opts = ExecOptions::new(policy.clone());
+    let mut exec_opts = ExecOptions::new(options.policy.clone());
     exec_opts.eval_scale = plan_options.graph.eval_scale;
-    exec_opts.faults = match &policy.faults {
+    exec_opts.faults = match &options.policy.faults {
         Some(cfg) => Some(FaultPlan::new(cfg, catalog)?),
         None => None,
     };
@@ -631,8 +461,8 @@ pub fn run_with_report(
                 aig,
                 catalog,
                 depth,
-                &plan_options,
-                &policy.network,
+                plan_options,
+                &options.policy.network,
                 &mut phases,
             )?,
             // Frontier rounds reuse the compiled/decomposed AIG.
@@ -642,7 +472,6 @@ pub fn run_with_report(
             &plan,
             catalog,
             args,
-            &policy,
             &exec_opts,
             &mut phases,
             rounds,
@@ -838,28 +667,5 @@ mod tests {
         assert!(speedup.is_finite());
         // The ordinary case is the plain ratio.
         assert!((run_with_times(3.0, 1.5).merging_speedup() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn options_split_round_trips_through_the_facade() {
-        let options = MediatorOptions::builder()
-            .unfold_depth(2)
-            .max_depth(16)
-            .merging(false)
-            .validate_output(false)
-            .scheduling(Scheduling::Dynamic)
-            .shipcut(false)
-            .threads(4)
-            .build()
-            .unwrap();
-        let rebuilt = MediatorOptions::from_parts(options.plan_options(), options.exec_policy());
-        assert_eq!(rebuilt.unfold_depth, 2);
-        assert_eq!(rebuilt.max_depth, 16);
-        assert!(!rebuilt.merging);
-        assert!(!rebuilt.validate_output);
-        assert_eq!(rebuilt.scheduling, Scheduling::Dynamic);
-        assert_eq!(rebuilt.cutoff, options.cutoff);
-        assert!(!rebuilt.shipcut);
-        assert_eq!(rebuilt.threads, 4);
     }
 }

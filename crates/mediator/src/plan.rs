@@ -17,15 +17,13 @@ use crate::faults::IntegrityOutcome;
 use crate::graph::{build_graph, source_histogram, GraphOptions, Occ, RelKey, TaskGraph};
 use crate::merge::{merge, no_merge, MergeOutcome};
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
-use crate::parallel::execute_graph_parallel;
 use crate::pipeline::MediatorRun;
 use crate::sim::NetworkModel;
 use crate::unfold::{unfold, CutOff, FrontierSite};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_relstore::{Catalog, SourceId, Value};
+use aig_relstore::{Catalog, Value};
 use aig_xml::{validate, Dtd};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,10 +67,10 @@ impl Default for PlanOptions {
 pub use crate::exec::ExecPolicy;
 
 /// An immutable, argument-independent evaluation plan: the unfolded AIG,
-/// its task graph, the per-source execution sequences, and the
-/// estimate-based schedule/merge outcome. Built once by [`prepare`], shared
-/// across requests behind an `Arc`, and executed any number of times with
-/// different argument bindings by [`execute_prepared`].
+/// its task graph, and the estimate-based schedule/merge outcome. Built
+/// once by [`prepare`], shared across requests behind an `Arc`, and
+/// executed any number of times with different argument bindings by
+/// [`execute_prepared`].
 #[derive(Debug)]
 pub struct PreparedPlan {
     fingerprint: u64,
@@ -92,9 +90,6 @@ pub struct PreparedPlan {
     /// Cut-off sites of the unfolding (empty when nothing recursed deeper).
     pub frontier: Vec<FrontierSite>,
     pub graph: TaskGraph,
-    /// Per-source task sequences in topological order — the static input of
-    /// the parallel executor.
-    pub per_source: HashMap<SourceId, Vec<usize>>,
     /// Estimate-based response time without merging (§5.2–5.3).
     pub est_baseline: MergeOutcome,
     /// Estimate-based response time of the final plan (merged when
@@ -133,19 +128,6 @@ impl PreparedPlan {
     pub fn predicted_merges(&self) -> usize {
         self.est_merged.merges
     }
-}
-
-/// Per-source sequences in topological order (dependency-safe input for the
-/// parallel executor when no schedule over raw task ids is available).
-pub fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 /// The **Prepare** stage: compiles constraints into guards, decomposes
@@ -251,7 +233,6 @@ fn prepare_unfolded(
         };
         (baseline, merged)
     });
-    let per_source = topo_per_source(&graph);
     // Read-set analysis is a linear scan of the task kinds' query ASTs —
     // cheap enough to run untimed (the pinned prepare phase list stays
     // exactly `compile_constraints, decompose, unfold, graph_build,
@@ -267,7 +248,6 @@ fn prepare_unfolded(
         aig: unfolded.aig,
         frontier: unfolded.frontier,
         graph,
-        per_source,
         est_baseline,
         est_merged,
         shipcut,
@@ -305,19 +285,17 @@ pub(crate) enum FullOutcome {
 }
 
 /// The **Execute** stage: binds `args`, runs the plan's task graph through
-/// the sequential or parallel executor, checks the recursion frontier, tags
-/// the document, validates it, and runs the measured-cost response-time
-/// simulation. `exec_opts` should be built once per run via
-/// [`ExecOptions::new`] (with the fault plan bound and `eval_scale`
-/// copied from the plan-side graph options). `rounds` counts the
+/// the task driver, checks the recursion frontier, tags the document,
+/// validates it, and runs the measured-cost response-time simulation.
+/// `exec_opts` should be built once per run via [`ExecOptions::new`] (with
+/// the fault plan bound and `eval_scale` copied from the plan-side graph
+/// options); its policy is the only one this stage reads. `rounds` counts the
 /// prepare/execute rounds of the enclosing request; `cache` is the plan
 /// cache's observability snapshot (default when no cache is involved).
-#[allow(clippy::too_many_arguments)]
 pub fn execute_prepared(
     plan: &PreparedPlan,
     catalog: &Catalog,
     args: &[(&str, Value)],
-    policy: &ExecPolicy,
     exec_opts: &ExecOptions,
     phases: &mut Phases,
     rounds: usize,
@@ -327,7 +305,6 @@ pub fn execute_prepared(
         plan,
         catalog,
         args,
-        policy,
         exec_opts,
         phases,
         rounds,
@@ -351,7 +328,6 @@ pub(crate) fn execute_prepared_full(
     plan: &PreparedPlan,
     catalog: &Catalog,
     args: &[(&str, Value)],
-    policy: &ExecPolicy,
     exec_opts: &ExecOptions,
     phases: &mut Phases,
     rounds: usize,
@@ -359,29 +335,17 @@ pub(crate) fn execute_prepared_full(
     incremental: IncrementalObs,
 ) -> Result<FullOutcome, MediatorError> {
     // The liveness profiles are part of the prepared plan; bind them into
-    // this run's options so both executors account ship images with them.
+    // this run's options so the driver accounts ship images with them.
     let exec_opts = &ExecOptions {
         shipcut: plan.shipcut.clone(),
         ..exec_opts.clone()
     };
     let exec: ExecResult = phases.time("execute", || {
-        if policy.parallel_exec {
-            execute_graph_parallel(
-                &plan.aig,
-                catalog,
-                &plan.graph,
-                args,
-                exec_opts,
-                &plan.per_source,
-            )
-        } else {
-            execute_graph(&plan.aig, catalog, &plan.graph, args, exec_opts)
-        }
+        execute_graph(&plan.aig, catalog, &plan.graph, args, exec_opts)
     })?;
     finish_run(FinishInputs {
         plan,
         catalog,
-        policy,
         exec_opts,
         phases,
         rounds,
@@ -397,7 +361,7 @@ pub(crate) fn execute_prepared_full(
 pub(crate) struct FinishInputs<'a> {
     pub plan: &'a PreparedPlan,
     pub catalog: &'a Catalog,
-    pub policy: &'a ExecPolicy,
+    /// The run's options; its policy is the only one the tail reads.
     pub exec_opts: &'a ExecOptions,
     pub phases: &'a mut Phases,
     pub rounds: usize,
@@ -418,13 +382,12 @@ pub(crate) struct FinishInputs<'a> {
 /// the supplied retagged tree), validation, the document-level constraint
 /// check (full or scoped), the measured-cost response-time simulation, and
 /// report construction. Both the cold full run ([`execute_prepared_full`])
-/// and the incremental subgraph re-execution ([`crate::delta`]) end here,
-/// so the two paths cannot drift apart.
+/// and the incremental re-evaluation (the service's snapshot path) end
+/// here, so the two paths cannot drift apart.
 pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, MediatorError> {
     let FinishInputs {
         plan,
         catalog,
-        policy,
         exec_opts,
         phases,
         rounds,
@@ -442,6 +405,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         sched,
         batch,
     } = exec;
+    let policy = &exec_opts.policy;
 
     // Frontier check: if the deepest unfolded level still produced
     // instances, the data recurses deeper than the plan's depth — the
@@ -558,7 +522,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             net: &policy.network,
             depth: plan.depth,
             unfold_rounds: rounds,
-            parallel_exec: policy.parallel_exec,
+            parallel_exec: policy.scheduling != crate::exec::Scheduling::Sequential,
             resilience: &resilience,
             integrity: &integrity,
             check_integrity: policy.check_integrity,

@@ -67,7 +67,7 @@ pub fn schedule(graph: &CostGraph, net: &NetworkModel) -> Plan {
 /// dead source re-homed to its replica), with dependency edges restricted
 /// to surviving producers — inputs already computed are local, so those
 /// edges carry no transfer cost. Returns per-source sequences over original
-/// task ids, ready for the parallel executor's next round.
+/// task ids, ready for the task driver's next round.
 pub fn replan_surviving(
     graph: &crate::graph::TaskGraph,
     done: &[bool],

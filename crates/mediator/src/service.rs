@@ -24,6 +24,7 @@ use crate::error::MediatorError;
 use crate::exec::{ExecOptions, Measured, RelStore};
 use crate::faults::{Deadline, FaultPlan};
 use crate::obs::{CacheObs, IncrementalObs, Phases, RunReport};
+use crate::parallel::Resume;
 use crate::pipeline::{MediatorOptions, MediatorRun};
 use crate::plan::{ExecPolicy, ExecutedRun, FullOutcome, PlanOptions, PreparedPlan};
 use crate::schedule::EdfGate;
@@ -278,14 +279,13 @@ pub struct ServedRequest {
 pub struct Mediator {
     catalog: Catalog,
     plan_options: PlanOptions,
-    policy: ExecPolicy,
     /// Fingerprint of the plan-side options, part of every cache key.
     opts_fp: u64,
     /// Fingerprint of the catalog *schema* (tables, columns, types, keys,
     /// replicas — not data), part of every cache key. Recomputed by
     /// [`Mediator::with_catalog_mut`] so schema changes invalidate plans.
     cat_fp: u64,
-    /// Executor options derived once from the policy, with the fault plan
+    /// Executor options holding the service's policy, with the fault plan
     /// bound to the catalog at construction (every request replays the same
     /// deterministic fault stream) and the eval-scale calibration applied.
     exec_opts: ExecOptions,
@@ -346,11 +346,10 @@ impl Mediator {
         capacity: usize,
     ) -> Result<Mediator, MediatorError> {
         options.validate().map_err(MediatorError::from)?;
-        let plan_options = options.plan_options();
-        let policy = options.exec_policy();
-        let mut exec_opts = ExecOptions::new(policy.clone());
+        let plan_options = options.plan.clone();
+        let mut exec_opts = ExecOptions::new(options.policy.clone());
         exec_opts.eval_scale = plan_options.graph.eval_scale;
-        exec_opts.faults = match &policy.faults {
+        exec_opts.faults = match &options.policy.faults {
             Some(cfg) => Some(FaultPlan::new(cfg, &catalog)?),
             None => None,
         };
@@ -359,7 +358,6 @@ impl Mediator {
         Ok(Mediator {
             catalog,
             plan_options,
-            policy,
             opts_fp,
             cat_fp,
             exec_opts,
@@ -391,7 +389,7 @@ impl Mediator {
         let cat_fp = self.catalog.schema_fingerprint();
         if cat_fp != self.cat_fp {
             self.cat_fp = cat_fp;
-            self.exec_opts.faults = match &self.policy.faults {
+            self.exec_opts.faults = match &self.exec_opts.policy.faults {
                 Some(cfg) => Some(FaultPlan::new(cfg, &self.catalog)?),
                 None => None,
             };
@@ -436,7 +434,7 @@ impl Mediator {
     }
 
     pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
+        &self.exec_opts.policy
     }
 
     /// Snapshot of the plan cache's counters.
@@ -492,12 +490,11 @@ impl Mediator {
     ) -> Result<ServedRequest, MediatorError> {
         let skipped_ids = self.resolve_sources(&ctx.skip_sources)?;
         let degraded = !skipped_ids.is_empty();
-        let budget = ctx.deadline_secs.or(self.policy.deadline_secs);
+        let budget = ctx.deadline_secs.or(self.policy().deadline_secs);
 
         // Build per-request overrides only when something actually differs
         // from the service configuration: the common clean path serves
         // straight from the shared state with zero clones.
-        let mut policy_owned: Option<ExecPolicy> = None;
         let mut opts_owned: Option<ExecOptions> = None;
         let mut catalog_owned: Option<Catalog> = None;
         if !ctx.is_default() || budget.is_some() {
@@ -508,7 +505,7 @@ impl Mediator {
                 // Re-bind the fault plan with the breaker-declared outages
                 // folded in; with no configured faults the default config's
                 // zero rates leave outage routing as the only live machinery.
-                let mut cfg = self.policy.faults.clone().unwrap_or_default();
+                let mut cfg = self.policy().faults.clone().unwrap_or_default();
                 cfg.outages.extend(ctx.extra_outages.iter().cloned());
                 opts.faults = Some(FaultPlan::new(&cfg, &self.catalog)?);
             }
@@ -516,22 +513,17 @@ impl Mediator {
                 if let Some(plan) = opts.faults.take() {
                     opts.faults = Some(plan.with_skipped(&skipped_ids));
                 }
-                opts.policy.check_integrity = false;
-                opts.policy.check_guards = false;
-                let mut policy = self.policy.clone();
                 // Output validation, the document constraint check, and the
                 // compiled-constraint guards are all specified against the
                 // *full* source data; a partial document legitimately
                 // violates them, so they are scoped out of degraded runs.
-                policy.check_guards = false;
-                policy.validate_output = false;
-                policy.check_integrity = false;
-                policy_owned = Some(policy);
+                opts.policy.check_guards = false;
+                opts.policy.validate_output = false;
+                opts.policy.check_integrity = false;
                 catalog_owned = Some(self.degraded_catalog(&skipped_ids));
             }
             opts_owned = Some(opts);
         }
-        let policy = policy_owned.as_ref().unwrap_or(&self.policy);
         let exec_opts = opts_owned.as_ref().unwrap_or(&self.exec_opts);
         let catalog = catalog_owned.as_ref().unwrap_or(&self.catalog);
 
@@ -540,7 +532,7 @@ impl Mediator {
         // fault plan has no mid-run outages (`dies_after` triggers on
         // *global* per-source completion counts, which a partial re-run
         // would shift; those plans must replay the full graph).
-        let incremental_mode = self.policy.incremental && ctx.is_default() && budget.is_none();
+        let incremental_mode = self.policy().incremental && ctx.is_default() && budget.is_none();
         let use_snapshots = incremental_mode
             && !self
                 .exec_opts
@@ -582,7 +574,6 @@ impl Mediator {
                     &plan,
                     catalog,
                     args,
-                    policy,
                     &snap,
                     &mut phases,
                     rounds,
@@ -611,7 +602,6 @@ impl Mediator {
                         &plan,
                         catalog,
                         args,
-                        policy,
                         exec_opts,
                         &mut phases,
                         rounds,
@@ -668,8 +658,8 @@ impl Mediator {
     }
 
     /// The incremental execute path: seeds the re-run mask from the
-    /// snapshot's dirty tables and the plan's read-sets, re-runs only that
-    /// downstream task closure ([`crate::delta::execute_incremental`]),
+    /// snapshot's dirty tables and the plan's read-sets, resumes the task
+    /// driver from the snapshot so only that downstream closure runs,
     /// retags only the document subtrees the re-run instances can reach
     /// ([`crate::tagging::retag_document`]), and finishes through the same
     /// [`crate::plan::finish_run`] tail as a cold run — with the
@@ -680,7 +670,6 @@ impl Mediator {
         plan: &PreparedPlan,
         catalog: &Catalog,
         args: &[(&str, Value)],
-        policy: &ExecPolicy,
         snap: &RunSnapshot,
         phases: &mut Phases,
         rounds: usize,
@@ -695,25 +684,39 @@ impl Mediator {
             shipcut: plan.shipcut.clone(),
             ..self.exec_opts.clone()
         };
-        let spliced = phases.time("execute", || {
-            crate::delta::execute_incremental(
+        let exec = phases.time("execute", || {
+            crate::parallel::drive(
                 &plan.aig,
                 catalog,
                 &plan.graph,
                 args,
                 &opts,
-                &snap.store,
-                &snap.measured,
-                &rerun,
+                None,
+                Some(Resume {
+                    store: &snap.store,
+                    measured: &snap.measured,
+                    rerun: &rerun,
+                }),
             )
         })?;
+        // Rows of the re-run tasks' outputs that land next to the reused
+        // relations.
+        let rows_spliced = plan
+            .graph
+            .tasks
+            .iter()
+            .zip(&exec.measured)
+            .zip(&rerun)
+            .filter(|((task, _), &rerun)| rerun && task.output.is_some())
+            .map(|((_, m), _)| m.out_rows as u64)
+            .sum();
         let tainted = crate::delta::tainted_elems(&plan.graph, &rerun);
         let tags = crate::delta::scope_tags(&plan.aig, &tainted);
         let (tree, retag) = phases.time("tag", || {
             crate::tagging::retag_document(
                 &plan.aig,
                 &plan.graph,
-                &spliced.exec.store,
+                &exec.store,
                 &snap.run.tree,
                 &tainted,
             )
@@ -729,7 +732,7 @@ impl Mediator {
                 .iter()
                 .map(|(source, table)| format!("{source}.{table}"))
                 .collect(),
-            rows_spliced: spliced.rows_spliced,
+            rows_spliced,
             nodes_reused: retag.nodes_reused,
             nodes_rebuilt: retag.nodes_rebuilt,
             constraints_scoped: plan.aig.constraints.scoped(&tags).len(),
@@ -738,12 +741,11 @@ impl Mediator {
         crate::plan::finish_run(crate::plan::FinishInputs {
             plan,
             catalog,
-            policy,
             exec_opts: &opts,
             phases,
             rounds,
             cache,
-            exec: spliced.exec,
+            exec,
             tree_override: Some(tree),
             scope: Some(tags),
             incremental,
@@ -906,7 +908,7 @@ impl Mediator {
                 &self.catalog,
                 depth,
                 &self.plan_options,
-                &self.policy.network,
+                &self.policy().network,
                 phases,
             )?,
         });

@@ -1,5 +1,5 @@
 //! Byte-identity conformance for incremental re-evaluation: across the
-//! matrix {sequential, parallel} × {Static, Dynamic} × {batching on/off}
+//! matrix {Sequential, Static, Dynamic scheduling} × {batching on/off}
 //! × {faults off / transient+latency}, a request served incrementally
 //! after a source delta must produce a document **byte-identical** to a
 //! cold full run of a fresh mediator over the post-delta catalog — the
@@ -19,7 +19,7 @@ use aig_datagen::{cover_delta, visit_delta, HospitalConfig};
 use aig_mediator::exec::Scheduling;
 use aig_mediator::faults::{FaultConfig, RetryPolicy};
 use aig_mediator::{Mediator, MediatorOptions};
-use aig_relstore::{Catalog, SourceDelta, Value};
+use aig_relstore::{Catalog, Database, SourceDelta, Value};
 
 struct Fixture {
     aig: Aig,
@@ -36,16 +36,10 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn options(
-    parallel: bool,
-    scheduling: Scheduling,
-    batching: bool,
-    faults: bool,
-) -> MediatorOptions {
+fn options(scheduling: Scheduling, batching: bool, faults: bool) -> MediatorOptions {
     let mut builder = MediatorOptions::builder()
         .unfold_depth(3)
         .incremental(true)
-        .parallel_exec(parallel)
         .scheduling(scheduling)
         .batching(batching)
         .batch_rows(2);
@@ -79,14 +73,12 @@ fn next_delta(catalog: &Catalog, date: &str, step: usize) -> SourceDelta {
     }
 }
 
-fn assert_cell(parallel: bool, scheduling: Scheduling, batching: bool, faults: bool) {
+fn assert_cell(scheduling: Scheduling, batching: bool, faults: bool) {
     let fx = fixture(11);
-    let opts = options(parallel, scheduling, batching, faults);
+    let opts = options(scheduling, batching, faults);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
-    let cell = format!(
-        "parallel={parallel} scheduling={scheduling:?} batching={batching} faults={faults}"
-    );
+    let cell = format!("scheduling={scheduling:?} batching={batching} faults={faults}");
 
     // Cold run: the ledger is on, but there is no snapshot to splice.
     let (_, cold) = mediator.request(&fx.aig, &args).unwrap();
@@ -141,45 +133,88 @@ fn assert_cell(parallel: bool, scheduling: Scheduling, batching: bool, faults: b
 }
 
 #[test]
-fn sequential_static_cells_are_byte_identical() {
+fn sequential_cells_are_byte_identical() {
     for batching in [false, true] {
         for faults in [false, true] {
-            assert_cell(false, Scheduling::Static, batching, faults);
+            assert_cell(Scheduling::Sequential, batching, faults);
         }
     }
 }
 
 #[test]
-fn sequential_dynamic_cells_are_byte_identical() {
+fn static_cells_are_byte_identical() {
     for batching in [false, true] {
         for faults in [false, true] {
-            assert_cell(false, Scheduling::Dynamic, batching, faults);
+            assert_cell(Scheduling::Static, batching, faults);
         }
     }
 }
 
 #[test]
-fn parallel_static_cells_are_byte_identical() {
+fn dynamic_cells_are_byte_identical() {
     for batching in [false, true] {
         for faults in [false, true] {
-            assert_cell(true, Scheduling::Static, batching, faults);
+            assert_cell(Scheduling::Dynamic, batching, faults);
         }
     }
 }
 
+/// A hard outage of the delta's source with a declared replica: the re-run
+/// tasks at the dead source halt the driver's first round and fail over
+/// through a second one, and the document stays byte-identical to a cold
+/// run over the same outage.
 #[test]
-fn parallel_dynamic_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(true, Scheduling::Dynamic, batching, faults);
-        }
+fn hard_outage_with_replica_is_byte_identical_in_every_mode() {
+    let mut fx = fixture(31);
+    let db1 = fx.catalog.source_id("DB1").unwrap();
+    let mut replica = Database::new("DB1R");
+    for table in fx.catalog.source(db1).tables() {
+        replica.add_table(table.clone()).unwrap();
+    }
+    let replica = fx.catalog.add_source(replica).unwrap();
+    fx.catalog.declare_replica(db1, replica).unwrap();
+    let args = [("date", Value::str(&fx.date))];
+    for scheduling in [
+        Scheduling::Sequential,
+        Scheduling::Static,
+        Scheduling::Dynamic,
+    ] {
+        let opts = MediatorOptions::builder()
+            .unfold_depth(3)
+            .incremental(true)
+            .scheduling(scheduling)
+            .faults(Some(FaultConfig {
+                outages: vec!["DB1".to_string()],
+                ..FaultConfig::default()
+            }))
+            .build()
+            .unwrap();
+        let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
+        mediator.request(&fx.aig, &args).unwrap();
+        let delta = visit_delta(mediator.catalog(), &fx.date, 2, 1, 43).unwrap();
+        mediator.apply_delta(&delta).unwrap();
+        let (incr, report) = mediator.request(&fx.aig, &args).unwrap();
+        assert!(report.incremental.snapshot_hit, "{scheduling:?}");
+        assert!(
+            report.resilience.failed_over > 0,
+            "{scheduling:?}: no re-run task failed over"
+        );
+        assert_eq!(report.resilience.replans, 1, "{scheduling:?}");
+
+        let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+        let (full, _) = oracle.request(&fx.aig, &args).unwrap();
+        assert_eq!(
+            aig_xml::serialize::to_string(&incr.tree),
+            aig_xml::serialize::to_string(&full.tree),
+            "{scheduling:?}: incremental document drifted under the outage"
+        );
     }
 }
 
 #[test]
 fn unchanged_catalog_reruns_nothing() {
     let fx = fixture(13);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(Scheduling::Sequential, false, false);
     let mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
 
@@ -211,7 +246,7 @@ fn unchanged_catalog_reruns_nothing() {
 #[test]
 fn empty_delta_marks_nothing_dirty() {
     let fx = fixture(17);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(Scheduling::Sequential, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -227,7 +262,7 @@ fn empty_delta_marks_nothing_dirty() {
 #[test]
 fn delta_report_names_the_dirty_tables() {
     let fx = fixture(19);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(Scheduling::Sequential, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -262,7 +297,7 @@ fn delta_report_names_the_dirty_tables() {
 #[test]
 fn row_deltas_keep_plans_warm_while_schema_deltas_invalidate() {
     let fx = fixture(23);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(Scheduling::Sequential, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();

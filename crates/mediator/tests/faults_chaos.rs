@@ -1,10 +1,10 @@
 //! Seeded chaos tests for the fault-injection and recovery layer: a matrix
-//! of fault rate × executor × retry policy asserting that recovered runs
-//! are **byte-identical** to clean runs, that per-attempt timeouts bound
-//! wall-clock time, that a zero-retry policy surfaces the structured error,
-//! and that hard outages either fail over to a declared replica (with a
-//! `Schedule` re-plan in the parallel executor) or fail naming the lost
-//! tasks. Everything is driven by fixed seeds, so these tests are exact,
+//! of fault rate × scheduling mode × retry policy asserting that recovered
+//! runs are **byte-identical** to clean runs, that per-attempt timeouts
+//! bound wall-clock time, that a zero-retry policy surfaces the structured
+//! error, and that hard outages either fail over to a declared replica
+//! (with a `Schedule` re-plan of the surviving subgraph) or fail naming the
+//! lost tasks. Everything is driven by fixed seeds, so these tests are exact,
 //! not statistical.
 
 use aig_core::paper::{mini_hospital_catalog, sigma0};
@@ -13,11 +13,9 @@ use aig_core::{compile_constraints, decompose_queries};
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultOutcome, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
-use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run_with_report, MediatorError, MediatorOptions, NetworkModel};
-use aig_relstore::{Catalog, Database, SourceId, Value};
-use std::collections::HashMap;
+use aig_relstore::{Catalog, Database, Value};
 use std::time::Instant;
 
 fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
@@ -27,17 +25,6 @@ fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let unfolded = unfold(&specialized, 3, CutOff::Truncate).unwrap();
     let graph = build_graph(&unfolded.aig, catalog, &GraphOptions::default()).unwrap();
     (unfolded.aig, graph)
-}
-
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 /// A retry policy with sleeps short enough for tests but real backoff.
@@ -112,13 +99,12 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
             assert_stores_identical(&graph, &clean, &seq);
             total_injected += assert_accounted(&seq);
 
-            let par =
-                execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-                    .unwrap();
+            let opts = opts.with_scheduling(Scheduling::Static);
+            let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
             assert_stores_identical(&graph, &clean, &par);
             let par_injected = assert_accounted(&par);
-            // The decision function is pure, so both executors see the very
-            // same fault stream.
+            // The decision function is pure, so every scheduling mode sees
+            // the very same fault stream.
             assert_eq!(par_injected, seq.resilience.injected(), "seed {seed}");
             total_injected += par_injected;
         }
@@ -155,9 +141,7 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
 
         for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
             let opts = opts.clone().with_scheduling(scheduling);
-            let par =
-                execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-                    .unwrap();
+            let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
             assert_stores_identical(&graph, &clean, &par);
             assert_accounted(&par);
         }
@@ -220,8 +204,8 @@ fn zero_retry_policy_surfaces_structured_error() {
         matches!(&err, MediatorError::SourceFault { attempts: 1, .. }),
         "{err}"
     );
-    let err = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-        .unwrap_err();
+    let opts = opts.with_scheduling(Scheduling::Static);
+    let err = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err();
     assert!(
         matches!(&err, MediatorError::SourceFault { attempts: 1, .. }),
         "{err}"
@@ -277,9 +261,12 @@ fn outage_with_replica_fails_over_and_replans() {
         db3_tasks,
         "every DB3 task re-ran at the replica"
     );
+    // A hard outage halts the first round at DB3's first task and fails
+    // over through a second round.
+    assert_eq!(seq.resilience.replans, 1);
 
-    let par =
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph)).unwrap();
+    let opts = opts.with_scheduling(Scheduling::Static);
+    let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
     assert_stores_identical(&graph, &clean, &par);
     assert_accounted(&par);
     assert!(
@@ -330,8 +317,7 @@ fn mid_run_outage_fails_over_in_every_executor() {
 
     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
         let opts = faulted_opts(fault_plan.clone(), fast_retry(3)).with_scheduling(scheduling);
-        let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap();
+        let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         assert_stores_identical(&graph, &clean, &par);
         assert_accounted(&par);
         assert!(
@@ -363,11 +349,9 @@ fn outage_without_replica_names_the_lost_tasks() {
     let plan = FaultPlan::new(&cfg, &catalog).unwrap();
     let opts = faulted_opts(plan, fast_retry(3));
 
-    for err in [
-        execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err(),
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap_err(),
-    ] {
+    for scheduling in [Scheduling::Sequential, Scheduling::Static] {
+        let opts = opts.clone().with_scheduling(scheduling);
+        let err = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err();
         let MediatorError::SourceUnavailable { source, lost_tasks } = &err else {
             panic!("expected SourceUnavailable, got {err}");
         };
@@ -387,43 +371,40 @@ fn pipeline_reports_resilience_and_preserves_the_document() {
     let catalog = mini_hospital_catalog().unwrap();
     let aig = sigma0().unwrap();
     let args = [("date", Value::str("d1"))];
-    let mut options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
     let (clean_run, clean_report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
     assert!(!clean_report.resilience.enabled);
     assert_eq!(clean_report.resilience.injected, 0);
     assert_eq!(clean_report.schema_version, aig_mediator::SCHEMA_VERSION);
 
-    for parallel_exec in [false, true] {
+    for scheduling in [Scheduling::Sequential, Scheduling::Static] {
         let mut faulted = options.clone();
-        faulted.parallel_exec = parallel_exec;
-        faulted.faults = Some(FaultConfig {
+        faulted.policy.scheduling = scheduling;
+        faulted.policy.faults = Some(FaultConfig {
             seed: 11,
             transient_rate: 0.2,
             latency_rate: 0.1,
             latency_secs: 0.0003,
             ..FaultConfig::default()
         });
-        faulted.retry = fast_retry(6);
+        faulted.policy.retry = fast_retry(6);
         let (run, report) = run_with_report(&aig, &catalog, &args, &faulted).unwrap();
         assert_eq!(
             clean_run.tree, run.tree,
-            "faulted document drifted (parallel={parallel_exec})"
+            "faulted document drifted ({scheduling:?})"
         );
         let r = &report.resilience;
         assert!(r.enabled);
         assert_eq!(r.seed, 11);
-        assert!(
-            r.injected > 0,
-            "no fault injected (parallel={parallel_exec})"
-        );
+        assert!(r.injected > 0, "no fault injected ({scheduling:?})");
         assert_eq!(
             r.injected,
             r.retried + r.timed_out + r.failed_over + r.surfaced,

@@ -1,7 +1,7 @@
 //! Wrong-answer chaos: a seeded conformance harness over the corruption
 //! faults of [`aig_mediator::faults`] and the integrity defense of
 //! [`aig_mediator::integrity`]. The matrix sweeps {fault kind} × {rate} ×
-//! {sequential, parallel Static, parallel Dynamic} × {1, 4 threads} ×
+//! {Sequential, Static, Dynamic scheduling} × {1, 4 threads} ×
 //! {retry policy} and asserts the system is **never silently wrong**:
 //! every injected corruption is either *masked* (the published relations
 //! are byte-identical to a clean run) or *detected* with a structured
@@ -20,11 +20,9 @@ use aig_mediator::faults::{
     FaultConfig, FaultKind, FaultOutcome, FaultPlan, IntegrityOutcome, RetryPolicy, WrongAnswerKind,
 };
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
-use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run_with_report, MediatorError, MediatorOptions, NetworkModel};
 use aig_relstore::{Catalog, Database, SourceId, Value};
-use std::collections::HashMap;
 
 fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let aig = sigma0().unwrap();
@@ -33,17 +31,6 @@ fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let unfolded = unfold(&specialized, 3, CutOff::Truncate).unwrap();
     let graph = build_graph(&unfolded.aig, catalog, &GraphOptions::default()).unwrap();
     (unfolded.aig, graph)
-}
-
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 /// A retry policy with sleeps short enough for tests but real backoff.
@@ -134,8 +121,8 @@ fn assert_violation_is_structured(graph: &TaskGraph, catalog: &Catalog, err: &Me
     );
 }
 
-/// The headline conformance sweep: {corruption rate} × {seed} × {executor:
-/// sequential, parallel Static, parallel Dynamic} × {1, 4 threads} ×
+/// The headline conformance sweep: {corruption rate} × {seed} × {scheduling:
+/// Sequential, Static, Dynamic} × {1, 4 threads} ×
 /// {retrying, zero-retry} with checks on. Every run is either byte-identical
 /// to the clean run with a balanced all-masked ledger, or fails with a
 /// structured `IntegrityViolation` — never silently wrong.
@@ -161,15 +148,14 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                 let opts = defended_opts(plan.clone(), retry);
                 let runs: Vec<Result<ExecResult, MediatorError>> = vec![
                     execute_graph(&aig, &catalog, &graph, &args, &opts),
-                    execute_graph_parallel(
+                    execute_graph(
                         &aig,
                         &catalog,
                         &graph,
                         &args,
-                        &opts,
-                        &topo_plan(&graph),
+                        &opts.clone().with_scheduling(Scheduling::Static),
                     ),
-                    execute_graph_parallel(
+                    execute_graph(
                         &aig,
                         &catalog,
                         &graph,
@@ -178,7 +164,6 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                             .clone()
                             .with_threads(4)
                             .with_scheduling(Scheduling::Dynamic),
-                        &topo_plan(&graph),
                     ),
                 ];
                 let mut ok_ledgers = Vec::new();
@@ -209,7 +194,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                     }
                 }
                 // The decision streams are pure functions of
-                // (seed, source, table, task, attempt): every executor that
+                // (seed, source, table, task, attempt): every mode that
                 // completed saw the very same corruption schedule.
                 for pair in ok_ledgers.windows(2) {
                     assert_eq!(pair[0], pair[1], "seed {seed} rate {rate}");
@@ -221,8 +206,9 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
     assert!(detected_total > 0, "the matrix never surfaced a detection");
 }
 
-/// With a zero-retry policy and certain corruption, both executors surface
-/// the structured violation instead of publishing wrong data.
+/// With a zero-retry policy and certain corruption, the sequential and the
+/// per-source scheduling modes surface the structured violation instead of
+/// publishing wrong data.
 #[test]
 fn zero_retry_detection_surfaces_structured_violation() {
     let catalog = mini_hospital_catalog().unwrap();
@@ -236,11 +222,9 @@ fn zero_retry_detection_surfaces_structured_violation() {
     let plan = FaultPlan::new(&cfg, &catalog).unwrap();
     let opts = defended_opts(plan, RetryPolicy::none());
 
-    for err in [
-        execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err(),
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap_err(),
-    ] {
+    for scheduling in [Scheduling::Sequential, Scheduling::Static] {
+        let opts = opts.clone().with_scheduling(scheduling);
+        let err = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err();
         assert_violation_is_structured(&graph, &catalog, &err);
     }
 }
@@ -317,8 +301,8 @@ fn table_outage_is_masked_by_retry_or_surfaces_naming_the_table() {
         .count();
     assert_eq!(retried_outages, log.injected());
 
-    let par =
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph)).unwrap();
+    let static_opts = opts.clone().with_scheduling(Scheduling::Static);
+    let par = execute_graph(&aig, &catalog, &graph, &args, &static_opts).unwrap();
     assert_stores_identical(&graph, &clean, &par);
     assert_eq!(par.integrity.sorted_events(), log.sorted_events());
 
@@ -402,27 +386,27 @@ fn stale_replica_is_detected_by_the_document_constraint_check() {
     let catalog = catalog_with_replica_of("DB3");
     let aig = sigma0().unwrap();
     let args = [("date", Value::str("d1"))];
-    let mut options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        check_integrity: true,
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .check_integrity(true)
         // Disable the compiled evaluation-time guards so the document-level
         // ConstraintSet check is provably the layer that catches this.
-        check_guards: false,
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
-    options.faults = Some(FaultConfig {
+        .check_guards(false)
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
+    options.policy.faults = Some(FaultConfig {
         seed: 4,
         outages: vec!["DB3".to_string()],
         stale_replica_rate: 1.0,
         stale_replica_rows: 4,
         ..FaultConfig::default()
     });
-    options.retry = fast_retry(3);
+    options.policy.retry = fast_retry(3);
 
     let err = run_with_report(&aig, &catalog, &args, &options).unwrap_err();
     let MediatorError::IntegrityViolation {
@@ -447,35 +431,35 @@ fn pipeline_reports_the_integrity_ledger() {
     let catalog = mini_hospital_catalog().unwrap();
     let aig = sigma0().unwrap();
     let args = [("date", Value::str("d1"))];
-    let mut options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        check_integrity: true,
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .check_integrity(true)
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
 
     let (clean_run, clean_report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
     assert!(clean_report.integrity.enabled);
     assert_eq!(clean_report.integrity.injected, 0);
     assert!(clean_report.integrity.balanced);
 
-    for parallel_exec in [false, true] {
+    for scheduling in [Scheduling::Sequential, Scheduling::Static] {
         let mut faulted = options.clone();
-        faulted.parallel_exec = parallel_exec;
-        faulted.faults = Some(FaultConfig {
+        faulted.policy.scheduling = scheduling;
+        faulted.policy.faults = Some(FaultConfig {
             seed: 11,
             corrupt_rate: 0.2,
             ..FaultConfig::default()
         });
-        faulted.retry = fast_retry(6);
+        faulted.policy.retry = fast_retry(6);
         let (run, report) = run_with_report(&aig, &catalog, &args, &faulted).unwrap();
         assert_eq!(
             clean_run.tree, run.tree,
-            "masked corruption must not change the document (parallel={parallel_exec})"
+            "masked corruption must not change the document ({scheduling:?})"
         );
         let i = &report.integrity;
         assert!(i.enabled);
@@ -502,7 +486,7 @@ fn pipeline_reports_the_integrity_ledger() {
 /// Determinism regression (the `FaultPlan` purity contract): identical
 /// `(seed, config, catalog)` produce byte-identical wrong-answer schedules
 /// — across repeated plan constructions, across query order, and across
-/// executors and thread counts observing them.
+/// scheduling modes and thread counts observing them.
 #[test]
 fn fault_schedules_are_deterministic_across_executors_and_repeats() {
     let catalog = mini_hospital_catalog().unwrap();
@@ -562,8 +546,8 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         "the schedule never injects anything"
     );
 
-    // Executors observe the same schedule: the sorted integrity ledgers of
-    // every executor/thread-count/scheduling combination are identical.
+    // Every mode observes the same schedule: the sorted integrity ledgers
+    // of every thread-count/scheduling combination are identical.
     let cfg = FaultConfig {
         seed: 42,
         corrupt_rate: 0.3,
@@ -585,8 +569,7 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
             .clone()
             .with_threads(threads)
             .with_scheduling(scheduling);
-        let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap();
+        let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         ledgers.push(par.integrity.sorted_events());
     }
     assert!(!ledgers[0].is_empty(), "seed 42 injected nothing");

@@ -14,15 +14,15 @@ use aig_relstore::Value;
 /// Options whose simulated costs do not depend on wall-clock measurements:
 /// every source query costs exactly the per-query overhead.
 fn det_options(depth: usize) -> MediatorOptions {
-    let mut options = MediatorOptions {
-        unfold_depth: depth,
-        max_depth: depth,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(depth)
+        .max_depth(depth)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
     options
 }
 
@@ -171,13 +171,13 @@ fn json_v6_reaches_a_fixpoint_with_integrity_ledger_and_big_seed() {
     let args = [("date", Value::str("d1"))];
     let seed = (1u64 << 60) + 7; // 1152921504606846983 > 2^53
     let mut options = det_options(3);
-    options.check_integrity = true;
-    options.faults = Some(aig_mediator::faults::FaultConfig {
+    options.policy.check_integrity = true;
+    options.policy.faults = Some(aig_mediator::faults::FaultConfig {
         seed,
         corrupt_rate: 0.6,
         ..Default::default()
     });
-    options.retry = aig_mediator::faults::RetryPolicy {
+    options.policy.retry = aig_mediator::faults::RetryPolicy {
         max_attempts: 6,
         backoff_base_secs: 0.0001,
         backoff_cap_secs: 0.001,
@@ -474,10 +474,8 @@ fn parallel_report_records_waits_and_matches_sequential() {
     assert!(!seq_report.parallel_exec);
     assert!(seq_report.tasks.iter().all(|t| t.wait_secs == 0.0));
 
-    let par_options = MediatorOptions {
-        parallel_exec: true,
-        ..options
-    };
+    let mut par_options = options;
+    par_options.policy.scheduling = aig_mediator::Scheduling::Static;
     let (par_run, par_report) = run_with_report(&aig, &catalog, &args, &par_options).unwrap();
     assert!(par_report.parallel_exec);
     assert_eq!(seq_run.tree, par_run.tree);

@@ -1,22 +1,21 @@
-//! Sequential / parallel executor equivalence — the promise made at the top
-//! of `src/parallel.rs`: across datagen seeds and thread interleavings, the
-//! parallel executor produces exactly the relations of the sequential one
-//! and therefore an identical tagged document.
+//! Scheduling-mode equivalence — the promise made at the top of
+//! `src/parallel.rs`: across datagen seeds and thread interleavings, the
+//! per-source modes of the task driver produce exactly the relations of
+//! the sequential walk and therefore an identical tagged document.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
 use aig_datagen::HospitalConfig;
 use aig_mediator::cost::estimated_costs;
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
-use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::parallel::execute_graph_planned;
 use aig_mediator::schedule::schedule;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run, CostGraph, MediatorOptions, NetworkModel};
-use aig_relstore::{Catalog, SourceId, Value};
-use std::collections::HashMap;
+use aig_relstore::{Catalog, Value};
 
 struct Fixture {
     aig: Aig,
@@ -38,19 +37,6 @@ fn fixture(seed: u64, depth: usize) -> Fixture {
         catalog: data.catalog,
         date: data.dates[0].clone(),
     }
-}
-
-/// The pipeline's default interleaving: each source runs its tasks in global
-/// topological order.
-fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 fn run_sequential(fx: &Fixture) -> ExecResult {
@@ -87,16 +73,14 @@ fn parallel_matches_sequential_across_seeds() {
     for seed in [1u64, 7, 42, 2003] {
         let fx = fixture(seed, 3);
         let seq = run_sequential(&fx);
-        let plan = topo_per_source(&fx.graph);
         // Repeat: thread timing varies between runs, the relations must not.
         for _ in 0..3 {
-            let par = execute_graph_parallel(
+            let par = execute_graph(
                 &fx.aig,
                 &fx.catalog,
                 &fx.graph,
                 &[("date", Value::str(&fx.date))],
-                &ExecOptions::default(),
-                &plan,
+                &ExecOptions::default().with_scheduling(Scheduling::Static),
             )
             .unwrap();
             assert_equivalent(&fx, &seq, &par);
@@ -115,12 +99,12 @@ fn parallel_matches_sequential_under_scheduled_interleaving() {
         let cg = CostGraph::from_task_graph(&fx.graph, &estimated_costs(&fx.graph));
         let plan = schedule(&cg, &NetworkModel::mbps(1.0));
         assert!(plan.consistent_with(&cg));
-        let par = execute_graph_parallel(
+        let par = execute_graph_planned(
             &fx.aig,
             &fx.catalog,
             &fx.graph,
             &[("date", Value::str(&fx.date))],
-            &ExecOptions::default(),
+            &ExecOptions::default().with_scheduling(Scheduling::Static),
             &plan.per_source,
         )
         .unwrap();
@@ -135,18 +119,18 @@ fn pipeline_parallel_flag_matches_sequential() {
     let args = [("date", Value::str(&data.dates[0]))];
     // Deterministic simulated costs (no wall-clock dependence) so the two
     // runs agree on every reported number, not just the document.
-    let mut options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
 
     let sequential = run(&aig, &data.catalog, &args, &options).unwrap();
-    options.parallel_exec = true;
+    options.policy.scheduling = Scheduling::Static;
     let parallel = run(&aig, &data.catalog, &args, &options).unwrap();
 
     assert_eq!(sequential.tree, parallel.tree);
@@ -171,20 +155,18 @@ fn pinned_par_threshold_is_byte_identical() {
     let data = HospitalConfig::tiny(5).generate().unwrap();
     let aig = sigma0().unwrap();
     let args = [("date", Value::str(&data.dates[0]))];
-    let options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
+    let options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .build()
+        .unwrap();
     let baseline = run(&aig, &data.catalog, &args, &options).unwrap();
     for threads in [1, 4] {
-        let pinned = MediatorOptions {
-            threads,
-            par_threshold: 1,
-            ..options.clone()
-        };
+        let mut pinned = options.clone();
+        pinned.policy.threads = threads;
+        pinned.policy.par_threshold = 1;
         let forced = run(&aig, &data.catalog, &args, &pinned).unwrap();
         assert_eq!(baseline.tree, forced.tree, "threads={threads}");
     }

@@ -18,26 +18,26 @@ use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_mediator::faults::FaultConfig;
 use aig_mediator::{
     canonical, Arrival, Disposition, MediatorError, MediatorOptions, MediatorServer, NetworkModel,
-    RetryPolicy, ServerConfig, ServerRun,
+    RetryPolicy, Scheduling, ServerConfig, ServerRun,
 };
 use aig_relstore::Value;
 use aig_xml::XmlTree;
 
 /// Options whose simulated (logical-clock) costs do not depend on
 /// wall-clock measurements: every source query costs exactly the overhead.
-fn det_options(parallel: bool, threads: usize, retry: RetryPolicy) -> MediatorOptions {
-    let mut options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: aig_mediator::CutOff::Truncate,
-        network: NetworkModel::mbps(100.0),
-        parallel_exec: parallel,
-        threads,
-        retry,
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 0.01;
+fn det_options(scheduling: Scheduling, threads: usize, retry: RetryPolicy) -> MediatorOptions {
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .max_depth(3)
+        .cutoff(aig_mediator::CutOff::Truncate)
+        .network(NetworkModel::mbps(100.0))
+        .scheduling(scheduling)
+        .threads(threads)
+        .retry(retry)
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 0.01;
     options
 }
 
@@ -68,7 +68,7 @@ fn direct_document(options: &MediatorOptions) -> XmlTree {
     let aig = sigma0().unwrap();
     let args = [("date", Value::str("d1"))];
     let mut options = options.clone();
-    options.faults = None;
+    options.policy.faults = None;
     let mediator = aig_mediator::Mediator::new(mini_hospital_catalog().unwrap(), &options).unwrap();
     let (run, _) = mediator.request(&aig, &args).unwrap();
     canonical(&aig, &run.tree)
@@ -153,18 +153,15 @@ fn assert_conformant(run: &ServerRun, offered: usize, context: &str) {
 #[test]
 fn conformance_matrix_under_chaos() {
     let aig = sigma0().unwrap();
-    for parallel in [false, true] {
+    for scheduling in [Scheduling::Sequential, Scheduling::Static] {
         for threads in [1, 3] {
-            if !parallel && threads != 1 {
+            if scheduling == Scheduling::Sequential && threads != 1 {
                 continue;
             }
             for (retry_name, retry) in [("none", RetryPolicy::none()), ("fast", fast_retry(3))] {
-                let context = format!(
-                    "{} x {threads} threads x retry {retry_name}",
-                    if parallel { "parallel" } else { "sequential" },
-                );
-                let mut options = det_options(parallel, threads, retry);
-                options.faults = Some(FaultConfig {
+                let context = format!("{scheduling:?} x {threads} threads x retry {retry_name}");
+                let mut options = det_options(scheduling, threads, retry);
+                options.policy.faults = Some(FaultConfig {
                     seed: 29,
                     transient_rate: 0.15,
                     latency_rate: 0.1,
@@ -245,7 +242,7 @@ fn admission_rejects_with_the_right_scope() {
     // Queue overflow: 1 slot + 2 queue places, 6 distinct tenants at once.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(Scheduling::Sequential, 1, RetryPolicy::none()),
         ServerConfig {
             max_queue: 2,
             max_in_flight: 1,
@@ -269,7 +266,7 @@ fn admission_rejects_with_the_right_scope() {
     // Zero-length queue: overflow names the in-flight limit instead.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(Scheduling::Sequential, 1, RetryPolicy::none()),
         ServerConfig {
             max_queue: 0,
             max_in_flight: 2,
@@ -289,7 +286,7 @@ fn admission_rejects_with_the_right_scope() {
     // Tenant quota: one noisy tenant is capped while capacity remains.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(Scheduling::Sequential, 1, RetryPolicy::none()),
         ServerConfig {
             max_queue: 100,
             max_in_flight: 1,
@@ -323,8 +320,8 @@ fn deadlines_fail_fast_in_queue_and_dispatch_is_edf() {
     let aig = sigma0().unwrap();
     // A hefty per-query overhead makes the *logical* service time seconds
     // long, so requests arriving close together genuinely queue.
-    let mut options = det_options(false, 1, RetryPolicy::none());
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = det_options(Scheduling::Sequential, 1, RetryPolicy::none());
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
         &options,
@@ -388,7 +385,7 @@ fn deadlines_fail_fast_in_queue_and_dispatch_is_edf() {
 #[test]
 fn breaker_trips_degrades_probes_and_recovers() {
     let aig = sigma0().unwrap();
-    let options = det_options(false, 1, fast_retry(2));
+    let options = det_options(Scheduling::Sequential, 1, fast_retry(2));
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
         &options,
@@ -470,7 +467,7 @@ fn open_breaker_without_degradation_fails_fast() {
     let aig = sigma0().unwrap();
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(Scheduling::Sequential, 1, RetryPolicy::none()),
         ServerConfig {
             seed: 11,
             max_queue: 100,
@@ -504,9 +501,13 @@ fn open_breaker_without_degradation_fails_fast() {
 #[test]
 fn clean_admitted_documents_match_direct_requests() {
     let aig = sigma0().unwrap();
-    for (parallel, threads) in [(false, 1), (true, 1), (true, 3)] {
-        let context = format!("parallel={parallel} threads={threads}");
-        let options = det_options(parallel, threads, RetryPolicy::none());
+    for (scheduling, threads) in [
+        (Scheduling::Sequential, 1),
+        (Scheduling::Static, 1),
+        (Scheduling::Static, 3),
+    ] {
+        let context = format!("{scheduling:?} threads={threads}");
+        let options = det_options(scheduling, threads, RetryPolicy::none());
         let server = MediatorServer::new(
             mini_hospital_catalog().unwrap(),
             &options,

@@ -48,7 +48,7 @@ fn assert_same_tree(aig: &Aig, warm: &aig_xml::XmlTree, cold: &aig_xml::XmlTree,
 fn cached_plan_stores_match_cold_stores_for_every_date() {
     let aig = sigma0().unwrap();
     let catalog = mini_hospital_catalog().unwrap();
-    let options = MediatorOptions::default().plan_options();
+    let options = MediatorOptions::default().plan;
     let net = NetworkModel::default();
     let shared = prepare(&aig, &catalog, 4, &options, &net, &mut Phases::new()).unwrap();
     for date in DATES {
@@ -130,7 +130,6 @@ fn run_many_matches_sequential_loops_under_schedulers_and_faults() {
     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
         for inject in [false, true] {
             let options = MediatorOptions::builder()
-                .parallel_exec(true)
                 .scheduling(scheduling)
                 .faults(inject.then(|| faults.clone()))
                 .retry(fast_retry(6))
@@ -168,7 +167,7 @@ fn run_many_matches_sequential_on_generated_data() {
     let aig = sigma0().unwrap();
     let data = HospitalConfig::tiny(42).generate().unwrap();
     let options = MediatorOptions::builder()
-        .parallel_exec(true)
+        .scheduling(Scheduling::Static)
         .build()
         .unwrap();
     let mediator = Mediator::new(data.catalog.clone(), &options).unwrap();

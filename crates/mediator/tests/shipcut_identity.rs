@@ -1,7 +1,7 @@
 //! Byte-identity property suite for the ship-cut optimization, the
 //! partitioned parallel kernels, and the columnar interned storage: across
 //! seeded datagen catalogs, the matrix {pruning on/off} × {1, N threads} ×
-//! {Static, Dynamic scheduling} × {faults on/off} must produce canonical
+//! {Sequential, Static, Dynamic scheduling} × {faults on/off} must produce canonical
 //! documents and relation stores **byte-identical** to the sequential,
 //! unpruned baseline — and in every cell the column-major store must equal
 //! its row-major reconstruction (materialize rows, re-intern, compare).
@@ -16,14 +16,12 @@ use aig_core::{compile_constraints, decompose_queries};
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
-use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::ShipCut;
 use aig_prng::{Rng, SeedableRng, StdRng};
-use aig_relstore::{Catalog, SourceId, Value};
+use aig_relstore::{Catalog, Value};
 use aig_xml::XmlTree;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Fixture {
@@ -52,33 +50,10 @@ fn tiny_fixture(seed: u64) -> Fixture {
     fixture(data.catalog, data.dates[0].clone())
 }
 
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
-}
-
-/// One cell of the matrix: executor × options, returning (store, document).
-fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, XmlTree) {
+/// One cell of the matrix, returning (store, document).
+fn run_cell(fx: &Fixture, opts: &ExecOptions) -> (ExecResult, XmlTree) {
     let args = [("date", Value::str(&fx.date))];
-    let result = if parallel {
-        execute_graph_parallel(
-            &fx.aig,
-            &fx.catalog,
-            &fx.graph,
-            &args,
-            opts,
-            &topo_plan(&fx.graph),
-        )
-        .unwrap()
-    } else {
-        execute_graph(&fx.aig, &fx.catalog, &fx.graph, &args, opts).unwrap()
-    };
+    let result = execute_graph(&fx.aig, &fx.catalog, &fx.graph, &args, opts).unwrap();
     let tree = tag_document(&fx.aig, &fx.graph, &result.store).unwrap();
     (result, tree)
 }
@@ -126,7 +101,7 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
         let seed = rng.gen_range(0u64..1 << 48);
         let fx = tiny_fixture(seed);
         let shipcut = Arc::new(ShipCut::analyze(&fx.aig, &fx.graph));
-        let baseline = run_cell(&fx, &ExecOptions::default(), false);
+        let baseline = run_cell(&fx, &ExecOptions::default());
 
         for prune in [false, true] {
             for threads in [1usize, 4] {
@@ -152,17 +127,14 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
                     }
                     let what =
                         format!("seed {seed} prune={prune} threads={threads} faults={faults}");
-                    let seq = run_cell(&fx, &opts, false);
-                    assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
-                    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
+                    for scheduling in [
+                        Scheduling::Sequential,
+                        Scheduling::Static,
+                        Scheduling::Dynamic,
+                    ] {
                         let opts = opts.clone().with_scheduling(scheduling);
-                        let par = run_cell(&fx, &opts, true);
-                        assert_identical(
-                            &fx,
-                            &baseline,
-                            &par,
-                            &format!("{what} parallel {scheduling:?}"),
-                        );
+                        let cell = run_cell(&fx, &opts);
+                        assert_identical(&fx, &baseline, &cell, &format!("{what} {scheduling:?}"));
                     }
                 }
             }

@@ -1,5 +1,5 @@
 //! Byte-identity oracle for streaming batch execution: across the matrix
-//! {batching on/off} × {sequential, parallel} × {Static, Dynamic} ×
+//! {batching on/off} × {Sequential, Static, Dynamic scheduling} ×
 //! {1, 4 threads} × {faults on/off}, relation stores and canonical
 //! documents must be **byte-identical** to the materializing baseline —
 //! chunked shipment changes *when rows cross the ship seam*, never what
@@ -14,13 +14,12 @@ use aig_core::{compile_constraints, decompose_queries};
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
-use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{canonical, run_with_report, MediatorOptions, ShipCut};
 use aig_relstore::{Catalog, SourceId, Value};
 use aig_xml::XmlTree;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 struct Fixture {
@@ -45,32 +44,9 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
-}
-
-fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, XmlTree) {
+fn run_cell(fx: &Fixture, opts: &ExecOptions) -> (ExecResult, XmlTree) {
     let args = [("date", Value::str(&fx.date))];
-    let result = if parallel {
-        execute_graph_parallel(
-            &fx.aig,
-            &fx.catalog,
-            &fx.graph,
-            &args,
-            opts,
-            &topo_plan(&fx.graph),
-        )
-        .unwrap()
-    } else {
-        execute_graph(&fx.aig, &fx.catalog, &fx.graph, &args, opts).unwrap()
-    };
+    let result = execute_graph(&fx.aig, &fx.catalog, &fx.graph, &args, opts).unwrap();
     let tree = tag_document(&fx.aig, &fx.graph, &result.store).unwrap();
     (result, tree)
 }
@@ -115,8 +91,8 @@ fn fault_opts(opts: &mut ExecOptions, fx: &Fixture, seed: u64) {
 const BATCH_ROWS: usize = 2;
 
 /// Sources that ship at least one task output — the ceiling on tasks
-/// shipping concurrently (the parallel executor runs one worker per
-/// source), hence on the double-buffer windows open at once.
+/// shipping concurrently (the per-source modes run one worker per source),
+/// hence on the double-buffer windows open at once.
 fn shipping_sources(graph: &TaskGraph) -> usize {
     let sources: HashSet<SourceId> = graph
         .tasks
@@ -132,7 +108,7 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
     for seed in [11u64, 0xFEED] {
         let fx = fixture(seed);
         let shipcut = Arc::new(ShipCut::analyze(&fx.aig, &fx.graph));
-        let baseline = run_cell(&fx, &ExecOptions::default(), false);
+        let baseline = run_cell(&fx, &ExecOptions::default());
         let workers = shipping_sources(&fx.graph);
 
         for prune in [false, true] {
@@ -148,7 +124,7 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
                     let what =
                         format!("seed {seed} prune={prune} threads={threads} faults={faults}");
 
-                    let seq = run_cell(&fx, &opts, false);
+                    let seq = run_cell(&fx, &opts);
                     assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
                     // Sequential execution ships one output at a time: the
                     // double-buffer window bounds residency at 2 batches.
@@ -169,13 +145,8 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
 
                     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
                         let opts = opts.clone().with_scheduling(scheduling);
-                        let par = run_cell(&fx, &opts, true);
-                        assert_identical(
-                            &fx,
-                            &baseline,
-                            &par,
-                            &format!("{what} parallel {scheduling:?}"),
-                        );
+                        let par = run_cell(&fx, &opts);
+                        assert_identical(&fx, &baseline, &par, &format!("{what} {scheduling:?}"));
                         // One worker per source: at most `workers` outputs
                         // ship concurrently, each inside its window.
                         assert!(
@@ -197,7 +168,7 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
 #[test]
 fn batching_bounds_peak_residency_below_materializing() {
     let fx = fixture(4242);
-    let materializing = run_cell(&fx, &ExecOptions::default(), false);
+    let materializing = run_cell(&fx, &ExecOptions::default());
     let largest = fx
         .graph
         .tasks
@@ -214,11 +185,7 @@ fn batching_bounds_peak_residency_below_materializing() {
         materializing.0.batch.peak_resident_rows >= largest as u64,
         "materializing seam must hold the largest relation in full"
     );
-    let batched = run_cell(
-        &fx,
-        &ExecOptions::default().with_batching(true, BATCH_ROWS),
-        false,
-    );
+    let batched = run_cell(&fx, &ExecOptions::default().with_batching(true, BATCH_ROWS));
     assert!(
         batched.0.batch.peak_resident_rows < materializing.0.batch.peak_resident_rows,
         "batched peak {} not below materializing peak {}",
@@ -242,35 +209,36 @@ fn pipeline_batching_produces_identical_documents_and_a_ledger() {
     assert_eq!(base_report.batching.batch_rows, 0);
     assert_eq!(base_report.batching.overlap_savings_secs, 0.0);
 
-    for parallel in [false, true] {
-        for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-            let options = MediatorOptions::builder()
-                .batching(true)
-                .batch_rows(2)
-                .parallel_exec(parallel)
-                .scheduling(scheduling)
-                .build()
-                .unwrap();
-            let (run, report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
-            assert_eq!(
-                canonical(&aig, &run.tree),
-                canonical(&aig, &base_run.tree),
-                "document drifted under batching: parallel={parallel} {scheduling:?}"
-            );
-            assert!(report.batching.enabled);
-            assert_eq!(report.batching.batch_rows, 2);
-            assert!(report.batching.total_batches > 0);
-            assert!(report.batching.peak_resident_rows > 0);
-            // Redaction zeroes the wall-derived estimate but keeps the
-            // deterministic counts.
-            let redacted = report.redacted();
-            assert_eq!(redacted.batching.overlap_savings_secs, 0.0);
-            assert_eq!(
-                redacted.batching.total_batches,
-                report.batching.total_batches
-            );
-            // Per-task batch counts surface in the report.
-            assert!(report.tasks.iter().any(|t| t.batches > 1));
-        }
+    for scheduling in [
+        Scheduling::Sequential,
+        Scheduling::Static,
+        Scheduling::Dynamic,
+    ] {
+        let options = MediatorOptions::builder()
+            .batching(true)
+            .batch_rows(2)
+            .scheduling(scheduling)
+            .build()
+            .unwrap();
+        let (run, report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
+        assert_eq!(
+            canonical(&aig, &run.tree),
+            canonical(&aig, &base_run.tree),
+            "document drifted under batching: {scheduling:?}"
+        );
+        assert!(report.batching.enabled);
+        assert_eq!(report.batching.batch_rows, 2);
+        assert!(report.batching.total_batches > 0);
+        assert!(report.batching.peak_resident_rows > 0);
+        // Redaction zeroes the wall-derived estimate but keeps the
+        // deterministic counts.
+        let redacted = report.redacted();
+        assert_eq!(redacted.batching.overlap_savings_secs, 0.0);
+        assert_eq!(
+            redacted.batching.total_batches,
+            report.batching.total_batches
+        );
+        // Per-task batch counts surface in the report.
+        assert!(report.tasks.iter().any(|t| t.batches > 1));
     }
 }

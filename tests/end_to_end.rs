@@ -10,10 +10,7 @@ use aig_integration::datagen::HospitalConfig;
 use aig_integration::prelude::*;
 
 fn mediator_options() -> MediatorOptions {
-    MediatorOptions {
-        max_depth: 128,
-        ..MediatorOptions::default()
-    }
+    MediatorOptions::builder().max_depth(128).build().unwrap()
 }
 
 #[test]
@@ -132,11 +129,11 @@ fn deep_recursion_is_followed_to_the_data_depth() {
 fn mediator_rejects_exhausted_recursion_budget() {
     let aig = sigma0().unwrap();
     let data = HospitalConfig::tiny(5).generate().unwrap();
-    let options = MediatorOptions {
-        unfold_depth: 1,
-        max_depth: 1,
-        ..MediatorOptions::default()
-    };
+    let options = MediatorOptions::builder()
+        .unfold_depth(1)
+        .max_depth(1)
+        .build()
+        .unwrap();
     // Depth 1 cannot hold the hierarchy: the frontier stays busy and the
     // budget errors out.
     let result = run_mediator(
@@ -158,12 +155,12 @@ fn truncated_and_frontier_runs_agree_when_deep_enough() {
         &aig,
         &data.catalog,
         &args,
-        &MediatorOptions {
-            unfold_depth: frontier.depth,
-            max_depth: frontier.depth,
-            cutoff: CutOff::Truncate,
-            ..MediatorOptions::default()
-        },
+        &MediatorOptions::builder()
+            .unfold_depth(frontier.depth)
+            .max_depth(frontier.depth)
+            .cutoff(CutOff::Truncate)
+            .build()
+            .unwrap(),
     )
     .unwrap();
     assert_eq!(

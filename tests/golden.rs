@@ -61,15 +61,15 @@ fn run_report_rendering_and_json_are_stable() {
     let catalog = mini_hospital_catalog().unwrap();
     // Wall-clock-independent simulated costs; the remaining measured-time
     // fields are redacted so the report is byte-stable.
-    let mut options = MediatorOptions {
-        unfold_depth: 2,
-        max_depth: 2,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
-    options.graph.eval_scale = 0.0;
-    options.graph.cost_model.per_query_overhead_secs = 1.0;
+    let mut options = MediatorOptions::builder()
+        .unfold_depth(2)
+        .max_depth(2)
+        .cutoff(CutOff::Truncate)
+        .network(NetworkModel::mbps(1.0))
+        .build()
+        .unwrap();
+    options.plan.graph.eval_scale = 0.0;
+    options.plan.graph.cost_model.per_query_overhead_secs = 1.0;
     let (_, report) =
         run_with_report(&aig, &catalog, &[("date", Value::str("d1"))], &options).unwrap();
     let redacted = report.redacted();

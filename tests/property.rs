@@ -363,10 +363,7 @@ fn mediator_agrees_with_conceptual_evaluation() {
         let date = &data.dates[date_idx];
         let args = [("date", Value::str(date))];
         let reference = evaluate(&aig, &data.catalog, &args).unwrap();
-        let options = MediatorOptions {
-            max_depth: 128,
-            ..MediatorOptions::default()
-        };
+        let options = MediatorOptions::builder().max_depth(128).build().unwrap();
         let run = run_mediator(&aig, &data.catalog, &args, &options).unwrap();
         assert_eq!(
             canonical(&aig, &run.tree),
