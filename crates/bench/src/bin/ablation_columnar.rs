@@ -14,18 +14,13 @@
 //! 3. **Projection.** Selecting live columns is `Arc` pointer selection;
 //!    the row-major emulation rewrites every row.
 //!
-//! Documents stay byte-identical across thread counts (the oracle
-//! discipline of the identity suite), and the end-to-end response time is
-//! recorded so `check_perf_regression` can tie it to the committed
-//! `BENCH_fig10.json` cell for the same workload.
-//!
-//! All kernel timings run single-threaded: the CI container exposes one
-//! CPU, so parallel speedups would measure the scheduler, not the storage
-//! layout (see EXPERIMENTS.md, Ablation L).
+//! The end-to-end response time is recorded so `check_perf_regression` can
+//! tie it to the committed `BENCH_fig10.json` cell for the same workload.
+//! All kernel timings run single-threaded (see EXPERIMENTS.md, Ablation L).
 
 use aig_bench::{dataset, fig10_options, markdown_table, spec, write_bench_json, Json};
 use aig_datagen::DatasetSize;
-use aig_mediator::{canonical, run_with_report, MediatorRun, RunReport};
+use aig_mediator::{run_with_report, MediatorRun, RunReport};
 use aig_relstore::{Relation, Value};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -43,12 +38,11 @@ struct Cell {
     wall_secs: f64,
 }
 
-fn run_cell(threads: usize) -> Cell {
+fn run_cell() -> Cell {
     let aig = spec();
     let data = dataset(DatasetSize::Small);
     let args = [("date", Value::str(&data.dates[0]))];
-    let mut options = fig10_options(UNFOLD, 1.0);
-    options.policy.threads = threads;
+    let options = fig10_options(UNFOLD, 1.0);
     let mut best: Option<Cell> = None;
     for _ in 0..REPEATS {
         let start = Instant::now();
@@ -112,11 +106,8 @@ fn best_of<R>(mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    // -- Pipeline: response time + byte-identity across thread counts ------
-    let one = run_cell(1);
-    let four = run_cell(4);
-    let aig = spec();
-    let docs_identical = canonical(&aig, &one.run.tree) == canonical(&aig, &four.run.tree);
+    // -- Pipeline: response time ---------------------------------------------
+    let pipeline = run_cell();
 
     // -- Storage: dictionary wire size vs raw row-major bytes --------------
     let rels = workload_relations();
@@ -219,10 +210,7 @@ fn main() {
         ],
     ];
     println!("{}", markdown_table(&header, &rows_tbl));
-    println!(
-        "response merged {:.3}s; docs identical across 1/4 threads: {docs_identical}",
-        one.run.response_merged_secs
-    );
+    println!("response merged {:.3}s", pipeline.run.response_merged_secs);
 
     write_bench_json(
         "columnar",
@@ -231,15 +219,15 @@ fn main() {
             ("dataset", Json::str(DatasetSize::Small.name())),
             (
                 "response_merged_secs",
-                Json::num(one.run.response_merged_secs),
+                Json::num(pipeline.run.response_merged_secs),
             ),
             (
                 "response_unmerged_secs",
-                Json::num(one.run.response_unmerged_secs),
+                Json::num(pipeline.run.response_unmerged_secs),
             ),
             (
                 "shipped_cut_bytes",
-                Json::num(one.report.shipcut.shipped_cut_bytes),
+                Json::num(pipeline.report.shipcut.shipped_cut_bytes),
             ),
             ("row_major_bytes", Json::num(row_major_bytes as f64)),
             ("wire_bytes", Json::num(wire_bytes as f64)),
@@ -253,13 +241,10 @@ fn main() {
             ("row_major_project_secs", Json::num(row_major_project_secs)),
             ("columnar_project_secs", Json::num(columnar_project_secs)),
             ("project_speedup", Json::num(project_speedup)),
-            ("cold_wall_secs", Json::num(one.wall_secs)),
-            ("cold_threaded_wall_secs", Json::num(four.wall_secs)),
-            ("docs_identical", Json::Bool(docs_identical)),
+            ("cold_wall_secs", Json::num(pipeline.wall_secs)),
         ]),
     );
 
-    assert!(docs_identical, "thread count changed the document");
     assert!(
         wire_bytes < row_major_bytes,
         "dictionary encoding did not reduce the shipped representation: \

@@ -1,5 +1,4 @@
-//! Ablation I: column-liveness pruning at ship boundaries ("ship-cut") and
-//! the partitioned parallel kernels.
+//! Ablation I: column-liveness pruning at ship boundaries ("ship-cut").
 //!
 //! On the Fig. 10 workload (Small dataset, unfold 4, 1 Mbps), the same
 //! request runs with ship-cut **off** and **on**: pruning projects every
@@ -7,8 +6,7 @@
 //! (and deduplicates for set-semantics consumers), so the measured shipped
 //! bytes — and with them the simulated transfer times that drive Schedule
 //! and Merge — shrink, while the relation stores and the final document stay
-//! byte-identical. A third run adds the partitioned kernels (`threads 4`),
-//! which must also be byte-identical: partition merges are deterministic.
+//! byte-identical.
 //!
 //! **Cold** rows run the one-shot pipeline; **warm** rows serve the request
 //! from a [`Mediator`] with the ship-cut analysis cached inside the
@@ -41,10 +39,9 @@ fn main() {
     let data = dataset(DatasetSize::Small);
     let args = [("date", Value::str(&data.dates[0]))];
 
-    let cold = |shipcut: bool, threads: usize| -> Cell {
+    let cold = |shipcut: bool| -> Cell {
         let mut options = fig10_options(UNFOLD, 1.0);
         options.plan.shipcut = shipcut;
-        options.policy.threads = threads;
         let mut best: Option<Cell> = None;
         for _ in 0..REPEATS {
             let start = Instant::now();
@@ -65,9 +62,8 @@ fn main() {
         best.expect("ran repeats")
     };
 
-    let off = cold(false, 1);
-    let on = cold(true, 1);
-    let threaded = cold(true, 4);
+    let off = cold(false);
+    let on = cold(true);
 
     // Warm: the service caches the prepared plan (ship-cut analysis
     // included), so requests pay execution only.
@@ -84,8 +80,7 @@ fn main() {
     let warm_per_request = warm_start.elapsed().as_secs_f64() / WARM_REQUESTS as f64;
     let warm_report = warm_report.expect("ran warm requests");
 
-    let docs_identical = canonical(&aig, &off.run.tree) == canonical(&aig, &on.run.tree)
-        && canonical(&aig, &on.run.tree) == canonical(&aig, &threaded.run.tree);
+    let docs_identical = canonical(&aig, &off.run.tree) == canonical(&aig, &on.run.tree);
     let full = off.report.shipcut.shipped_full_bytes;
     let cut = on.report.shipcut.shipped_cut_bytes;
     let saved = on.report.shipcut.saved_bytes;
@@ -109,11 +104,7 @@ fn main() {
             format!("{}", cell.report.shipcut.pruned_tasks),
         ]
     };
-    let rows = vec![
-        row("off", &off),
-        row("on", &on),
-        row("on + 4 threads", &threaded),
-    ];
+    let rows = vec![row("off", &off), row("on", &on)];
     println!("{}", markdown_table(&header, &rows));
     println!(
         "shipped bytes {full:.0} -> {cut:.0} ({saved:.0} saved, {:.1}%); \
@@ -141,7 +132,6 @@ fn main() {
             ("response_on_secs", Json::num(on.run.response_merged_secs)),
             ("cold_off_wall_secs", Json::num(off.wall_secs)),
             ("cold_on_wall_secs", Json::num(on.wall_secs)),
-            ("cold_threaded_wall_secs", Json::num(threaded.wall_secs)),
             ("warm_per_request_secs", Json::num(warm_per_request)),
             ("docs_identical", Json::Bool(docs_identical)),
             (
@@ -152,7 +142,7 @@ fn main() {
         ]),
     );
 
-    assert!(docs_identical, "pruning or threading changed the document");
+    assert!(docs_identical, "pruning changed the document");
     assert!(
         saved > 0.0 && cut < full,
         "ship-cut saved nothing: {cut:.0} of {full:.0} bytes"

@@ -5,7 +5,7 @@
 //! Compares freshly regenerated `BENCH_fig10.json`,
 //! `BENCH_ablation_dynamic_live.json`, `BENCH_ablation_plan_cache.json`,
 //! `BENCH_shipcut.json`, `BENCH_columnar.json`, `BENCH_integrity.json`,
-//! `BENCH_server.json`, `BENCH_streaming.json` and `BENCH_deltas.json`
+//! `BENCH_server.json` and `BENCH_deltas.json`
 //! against the committed baselines. The
 //! simulated quantities (merging ratios, predicted speedups) are
 //! deterministic and get a tight relative band; wall-clock quantities
@@ -200,7 +200,7 @@ fn check_shipcut(gate: &mut Gate, baseline: &Json, current: &Json) {
             && num(current, "shipped_cut_bytes") < num(current, "shipped_full_bytes"),
     );
     gate.require(
-        "shipcut: documents are no longer byte-identical across pruning/threads",
+        "shipcut: documents are no longer byte-identical across pruning",
         current
             .get("docs_identical")
             .and_then(Json::as_bool)
@@ -240,9 +240,8 @@ fn check_shipcut(gate: &mut Gate, baseline: &Json, current: &Json) {
 fn check_columnar(gate: &mut Gate, baseline: &Json, current: &Json, fig10_current: &Json) {
     // Hard, machine-independent claims of the columnar storage: the
     // dictionary-encoded wire representation is strictly smaller than the
-    // raw row-major bytes of the same shipments, the interned kernels beat
-    // their row-major emulations, and the document does not depend on the
-    // thread count.
+    // raw row-major bytes of the same shipments, and the interned kernels
+    // beat their row-major emulations.
     gate.require(
         "columnar: wire size no longer strictly below the row-major bytes",
         num(current, "wire_bytes") < num(current, "row_major_bytes"),
@@ -254,13 +253,6 @@ fn check_columnar(gate: &mut Gate, baseline: &Json, current: &Json, fig10_curren
     gate.require(
         "columnar: projection no longer beats the row-major emulation",
         num(current, "project_speedup") > 1.0,
-    );
-    gate.require(
-        "columnar: documents are no longer byte-identical across threads",
-        current
-            .get("docs_identical")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
     );
     // Tie the run to the committed Fig. 10 workload: the same (dataset,
     // unfold) cell must exist and the columnar response must not regress
@@ -417,53 +409,6 @@ fn check_server(gate: &mut Gate, baseline: &Json, current: &Json) {
     }
 }
 
-fn check_streaming(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // Machine-independent hard claims of chunked shipment: the document is
-    // byte-identical to the materializing run, 256-row chunks bound peak
-    // residency strictly below materializing the largest relation, and
-    // shrinking the chunk size increases the batch count.
-    gate.require(
-        "streaming: documents are no longer byte-identical across batch sizes",
-        current
-            .get("docs_identical")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    );
-    gate.require(
-        "streaming: 256-row chunks no longer bound peak residency below materializing",
-        num(current, "peak_256_rows") < num(current, "peak_mat_rows"),
-    );
-    gate.require(
-        "streaming: smaller chunks no longer yield more batches",
-        num(current, "batches_256") > num(current, "batches_2048"),
-    );
-    gate.require(
-        "streaming: the simulated pipelining credit went negative",
-        num(current, "overlap_256_secs") >= 0.0,
-    );
-    // Batch counts and peaks are pure functions of the (seeded) dataset and
-    // the chunk size; responses are simulated. Tight drift bands.
-    for key in [
-        "peak_256_rows",
-        "batches_256",
-        "response_mat_secs",
-        "response_256_secs",
-    ] {
-        gate.within(
-            &format!("streaming {key}"),
-            num(baseline, key),
-            num(current, key),
-            SIM_TOLERANCE,
-        );
-    }
-    // Wall clocks only fail on large factors.
-    gate.bounded(
-        "streaming wall (256-row chunks)",
-        num(baseline, "wall_256_secs"),
-        num(current, "wall_256_secs"),
-    );
-}
-
 fn check_deltas(gate: &mut Gate, baseline: &Json, current: &Json) {
     let cell = |json: &Json, scope: &str| -> Json {
         json.get(scope)
@@ -574,11 +519,6 @@ fn main() -> ExitCode {
         &mut gate,
         &load(baseline_dir, "BENCH_server.json"),
         &load(current_dir, "BENCH_server.json"),
-    );
-    check_streaming(
-        &mut gate,
-        &load(baseline_dir, "BENCH_streaming.json"),
-        &load(current_dir, "BENCH_streaming.json"),
     );
     check_deltas(
         &mut gate,

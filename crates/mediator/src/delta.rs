@@ -23,8 +23,8 @@
 //!    snapshot with every unmasked task already complete, so only the
 //!    re-run subgraph executes against the post-delta catalog — under the
 //!    request's scheduling mode, re-shipping its outputs through the same
-//!    batch/ship seam as a cold run — and the resulting relations land next
-//!    to the reused ones.
+//!    ship seam as a cold run — and the resulting relations land next to
+//!    the reused ones.
 //!
 //! The byte-identity invariant carries over from the driver: a spliced
 //! store is relation-for-relation equal to a cold run's store, so the

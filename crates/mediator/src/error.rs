@@ -5,49 +5,41 @@ use aig_relstore::StoreError;
 use aig_sql::SqlError;
 use std::fmt;
 
-/// A contradiction or degenerate value in [`MediatorOptions`] caught at
-/// build time, before any planning or execution happens.
-///
-/// Historically the pipeline silently clamped degenerate knobs (`threads: 0`
-/// became 1 via `.max(1)`), which hid caller bugs: a config file that
-/// computed `threads` from a broken formula ran single-threaded forever
-/// without anyone noticing. The builder now refuses these values instead.
+/// A degenerate value in [`MediatorOptions`] caught at build time, before
+/// any planning or execution happens, instead of being clamped silently.
 ///
 /// [`MediatorOptions`]: crate::pipeline::MediatorOptions
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `threads` was 0 — the executor needs at least one worker.
-    ZeroThreads,
-    /// `par_threshold` was 0 — every relation (even empty ones) would be
-    /// split for parallel dedup, which degenerates into pure overhead.
-    ZeroParThreshold,
-    /// `batch_rows` was 0 — batches could never make progress. Rejected
-    /// even when batching is off, so flipping `batching` on later cannot
-    /// surface a latent bad knob.
-    ZeroBatchRows,
-    /// `batching` was requested with `shipcut` disabled. Chunked shipment
-    /// slices the *ship image* that the ship-cut computes; without it the
-    /// batching knobs are dead weight and the caller almost certainly
-    /// misconfigured one of the two.
-    BatchingWithoutShipcut,
+    /// `unfold_depth` was 0. Every plan has at least one level, so a
+    /// request for no unfolding cannot be honoured.
+    ZeroUnfoldDepth,
+    /// A deadline budget was NaN or negative: no request could meet it,
+    /// and the one-shot pipeline, which has no deadline, would ignore it.
+    InvalidDeadline,
+}
+
+impl ConfigError {
+    /// Checks a deadline budget in seconds: `None` (unbounded), zero and
+    /// positive values (including `+inf`) are valid; NaN and negative
+    /// values are not.
+    pub(crate) fn check_deadline(budget: Option<f64>) -> Result<(), ConfigError> {
+        match budget {
+            Some(b) if b.is_nan() || b < 0.0 => Err(ConfigError::InvalidDeadline),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroThreads => {
-                write!(f, "invalid config: threads must be at least 1, got 0")
+            ConfigError::ZeroUnfoldDepth => {
+                write!(f, "invalid config: unfold_depth must be at least 1, got 0")
             }
-            ConfigError::ZeroParThreshold => {
-                write!(f, "invalid config: par_threshold must be at least 1, got 0")
-            }
-            ConfigError::ZeroBatchRows => {
-                write!(f, "invalid config: batch_rows must be at least 1, got 0")
-            }
-            ConfigError::BatchingWithoutShipcut => write!(
+            ConfigError::InvalidDeadline => write!(
                 f,
-                "invalid config: batching requires shipcut (chunked shipment \
-                 slices the ship image the ship-cut computes)"
+                "invalid config: deadline_secs must be a non-negative number of seconds"
             ),
         }
     }
@@ -243,12 +235,12 @@ mod tests {
                 &["internal error", "orphan task"],
             ),
             (
-                MediatorError::Config(ConfigError::ZeroBatchRows),
-                &["invalid config", "batch_rows"],
+                MediatorError::Config(ConfigError::ZeroUnfoldDepth),
+                &["invalid config", "unfold_depth"],
             ),
             (
-                MediatorError::Config(ConfigError::BatchingWithoutShipcut),
-                &["invalid config", "batching requires shipcut"],
+                MediatorError::Config(ConfigError::InvalidDeadline),
+                &["invalid config", "deadline_secs"],
             ),
             (
                 MediatorError::RecursionBudget { max_depth: 7 },

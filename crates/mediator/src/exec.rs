@@ -20,12 +20,8 @@ use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern;
-use aig_relstore::par::stable_sort_rows_with;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
-use aig_sql::{
-    execute_streamed as sql_execute_streamed, execute_tuned as sql_execute_tuned,
-    IncrementalDistinct, ParamValue, Params,
-};
+use aig_sql::{execute as sql_execute, ParamValue, Params};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -89,7 +85,7 @@ impl SchedLog {
 
 /// The per-request half of [`crate::pipeline::MediatorOptions`]: everything
 /// the **Execute** stage consumes, and the single source of truth for the
-/// executor switches (retry, scheduling, threads, integrity, batching). A
+/// executor switches (retry, scheduling, integrity, deadline). A
 /// change of policy never invalidates a cached plan — the same
 /// [`crate::plan::PreparedPlan`] serves strict and lenient requests alike.
 #[derive(Debug, Clone)]
@@ -113,28 +109,10 @@ pub struct ExecPolicy {
     /// default), per-source workers over planned sequences, or per-source
     /// live ready queues.
     pub scheduling: Scheduling,
-    /// Worker-thread bound for the partitioned kernels (hash join,
-    /// canonical sort, dedup) inside each task. Results are byte-identical
-    /// for any value; `1` keeps every kernel sequential.
-    pub threads: usize,
-    /// Minimum input size (rows) before a partitioned kernel engages;
-    /// smaller inputs take the sequential path outright. Results are
-    /// byte-identical for any value — this only moves the crossover point
-    /// (tests pin it to force either path on small fixtures).
-    pub par_threshold: usize,
     /// Per-request deadline budget in seconds (None = unbounded). The
     /// clock starts when a request enters execution; expiry surfaces as
     /// [`crate::MediatorError::DeadlineExceeded`] instead of hanging.
     pub deadline_secs: Option<f64>,
-    /// Chunked shipment (streaming batch execution, see [`crate::batch`]):
-    /// task outputs cross the ship seam in `batch_rows`-row batches and
-    /// source queries feed hash-join builds and dedup incrementally.
-    /// Stores and documents are byte-identical either way; off by default.
-    pub batching: bool,
-    /// Batch size (rows) of the chunked shipment seam; only consulted when
-    /// `batching` is on. `usize::MAX` degenerates to the materializing
-    /// one-batch shipment.
-    pub batch_rows: usize,
     /// Incremental re-evaluation on source deltas (see [`crate::delta`]):
     /// when on, the [`crate::service::Mediator`] keeps a post-run snapshot
     /// (store + document + per-task read-sets) per prepared plan and, after
@@ -156,11 +134,7 @@ impl Default for ExecPolicy {
             faults: None,
             retry: RetryPolicy::default(),
             scheduling: Scheduling::default(),
-            threads: 1,
-            par_threshold: aig_relstore::par::PAR_THRESHOLD,
             deadline_secs: None,
-            batching: false,
-            batch_rows: 2048,
             incremental: false,
         }
     }
@@ -173,8 +147,8 @@ impl Default for ExecPolicy {
 /// methods, so there is exactly one source of truth for them.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// The shared policy (retry, scheduling, threads, par_threshold,
-    /// guard/integrity switches, network model, batching knobs).
+    /// The shared policy (retry, scheduling, guard/integrity switches,
+    /// network model, deadline budget).
     pub policy: ExecPolicy,
     /// Deterministic fault injection bound to a catalog (None = no
     /// faults). Bound by the caller from [`ExecPolicy::faults`].
@@ -245,29 +219,6 @@ impl ExecOptions {
         self.policy.scheduling
     }
 
-    /// Kernel thread bound, floored at 1 as an executor safety net; the
-    /// options builder rejects zero outright (`ConfigError`).
-    pub fn threads(&self) -> usize {
-        self.policy.threads.max(1)
-    }
-
-    /// Partitioned-kernel crossover, floored at 1 as an executor safety
-    /// net; the options builder rejects zero outright (`ConfigError`).
-    pub fn par_threshold(&self) -> usize {
-        self.policy.par_threshold.max(1)
-    }
-
-    /// Whether chunked shipment (streaming batch execution) is on.
-    pub fn batching(&self) -> bool {
-        self.policy.batching
-    }
-
-    /// Batch size of the chunked shipment seam, floored at 1; the options
-    /// builder rejects zero outright (`ConfigError`).
-    pub fn batch_rows(&self) -> usize {
-        self.policy.batch_rows.max(1)
-    }
-
     /// Whether incremental re-evaluation on source deltas is on.
     pub fn incremental(&self) -> bool {
         self.policy.incremental
@@ -276,19 +227,6 @@ impl ExecOptions {
     /// Returns the options with the scheduling mode replaced.
     pub fn with_scheduling(mut self, scheduling: Scheduling) -> ExecOptions {
         self.policy.scheduling = scheduling;
-        self
-    }
-
-    /// Returns the options with the kernel thread bound replaced.
-    pub fn with_threads(mut self, threads: usize) -> ExecOptions {
-        self.policy.threads = threads;
-        self
-    }
-
-    /// Returns the options with the chunked-shipment knobs replaced.
-    pub fn with_batching(mut self, batching: bool, batch_rows: usize) -> ExecOptions {
-        self.policy.batching = batching;
-        self.policy.batch_rows = batch_rows;
         self
     }
 }
@@ -311,10 +249,6 @@ pub struct Measured {
     /// never exceeds it (pruning drops columns and rows, and the dictionary
     /// encoding is monotone under both).
     pub ship_bytes: f64,
-    /// Batches the output crossed the ship seam in: 1 per shipped output
-    /// when materializing, `ceil(image_rows / batch_rows)` under chunked
-    /// shipment (0 for guards and empty batched images).
-    pub batches: u64,
     /// Rows read from dependency relations (distinct input relations).
     pub in_rows: f64,
     /// Seconds the task spent waiting for its inputs before running
@@ -378,9 +312,6 @@ pub struct ExecResult {
     pub integrity: IntegrityLog,
     /// What the scheduler did (dynamic picks; empty under static).
     pub sched: SchedLog,
-    /// What the chunked-shipment seam did (batch counts, peak resident
-    /// rows); `enabled: false` with one batch per output when off.
-    pub batch: crate::batch::BatchLog,
 }
 
 /// The `__occ` tag of rows produced by the generator of `(occ, item)`.
@@ -535,14 +466,9 @@ impl Executor<'_> {
                     rows.push(row);
                 }
                 // Canonical per-parent order: (parent, fields), then ordinal.
-                // Compared by reference — no per-comparison clones — and
-                // partitioned over the configured threads for large outputs.
-                stable_sort_rows_with(
-                    &mut rows,
-                    self.opts.threads(),
-                    self.opts.par_threshold(),
-                    |a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])),
-                );
+                // Compared by reference — no per-comparison clones; the sort
+                // is stable.
+                rows.sort_by(|a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])));
                 let mut last_parent: Option<Value> = None;
                 let mut ord = 0i64;
                 let mut finished: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
@@ -572,7 +498,7 @@ impl Executor<'_> {
                 let info = self.aig.elem_info(binding.elem);
                 if let Some(decl) = info.inh.iter().find(|f| &f.name == field) {
                     if matches!(decl.ty, FieldType::Set(_)) {
-                        self.dedup_output(&mut rel);
+                        rel.dedup();
                     }
                 }
                 Ok(Some(rel))
@@ -755,45 +681,7 @@ impl Executor<'_> {
             };
             params.insert(name.clone(), ParamValue::Rel(rel));
         }
-        if self.opts.batching() {
-            // Streaming mode: hash-join builds and DISTINCT inside the
-            // query consume their inputs in `batch_rows` chunks
-            // (byte-identical results; see `aig_sql::execute_streamed`).
-            return Ok(sql_execute_streamed(
-                &vq.query,
-                self.catalog,
-                &params,
-                self.opts.threads(),
-                self.opts.par_threshold(),
-                self.opts.batch_rows(),
-            )?);
-        }
-        Ok(sql_execute_tuned(
-            &vq.query,
-            self.catalog,
-            &params,
-            self.opts.threads(),
-            self.opts.par_threshold(),
-        )?)
-    }
-
-    /// Set-semantics coercion of a task output. Materializing mode uses
-    /// the (possibly partitioned) one-shot dedup kernel; under chunked
-    /// execution, inputs below the partitioning crossover feed an
-    /// incremental distinct in `batch_rows` chunks instead — same
-    /// first-occurrence order, byte-identical output.
-    fn dedup_output(&self, rel: &mut Relation) {
-        let threads = self.opts.threads();
-        let threshold = self.opts.par_threshold();
-        if self.opts.batching() && !(threads > 1 && rel.len() >= threshold) {
-            let mut distinct = IncrementalDistinct::new(rel.columns().to_vec());
-            for batch in rel.batches(self.opts.batch_rows()) {
-                distinct.feed(&batch);
-            }
-            *rel = distinct.finish();
-        } else {
-            rel.dedup_parallel_with(threads, threshold);
-        }
+        Ok(sql_execute(&vq.query, self.catalog, &params)?)
     }
 
     /// Resolves a scalar rule expression for a specific base row.
@@ -891,7 +779,7 @@ impl Executor<'_> {
             }
         }
         if is_set {
-            self.dedup_output(&mut out);
+            out.dedup();
         }
         Ok(out)
     }

@@ -143,15 +143,6 @@ pub fn render_report(report: &RunReport) -> String {
             s.shipped_cut_bytes, s.shipped_full_bytes, s.saved_bytes, pct, s.pruned_tasks,
         );
     }
-    if report.batching.enabled {
-        let b = &report.batching;
-        let _ = writeln!(
-            out,
-            "batching: {} batches of {} rows; peak {} resident shipment rows; \
-             est. {:.3}s overlapped by pipelining",
-            b.total_batches, b.batch_rows, b.peak_resident_rows, b.overlap_savings_secs,
-        );
-    }
     let _ = writeln!(out, "sources");
     for source in &report.sources {
         let _ = writeln!(

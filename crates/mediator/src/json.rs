@@ -171,11 +171,18 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document. Errors carry the byte offset of the problem.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would overflow the stack on
+/// hostile input; run reports nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 512;
+
+/// Parses a JSON document. Errors carry the byte offset of the problem;
+/// nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -189,6 +196,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -230,11 +239,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -420,6 +444,22 @@ mod tests {
         ]);
         for text in [value.to_compact(), value.to_pretty()] {
             assert_eq!(parse(&text).unwrap(), value, "{text}");
+        }
+    }
+
+    /// Runs on the default test-thread stack: input far deeper than the cap
+    /// must come back as an error instead of overflowing the stack.
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for text in [
+            nested(MAX_DEPTH + 1),
+            "[".repeat(50_000),
+            "{\"a\":".repeat(50_000),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than 512 levels"), "{err}");
         }
     }
 

@@ -5,7 +5,6 @@
 //! ([`tagging`]), and serves requests from a plan cache ([`service`]) or a
 //! logical-clock server ([`server`]). [`pipeline::run`] is the one-shot
 //! entry point.
-pub mod batch;
 pub mod cost;
 pub mod delta;
 pub mod error;
@@ -28,7 +27,6 @@ pub mod sim;
 pub mod tagging;
 pub mod unfold;
 
-pub use batch::{BatchLog, BatchStream, RelationStream, ShipLedger};
 pub use cost::{response_time, CostGraph, Plan, TaskCost};
 pub use delta::{rerun_mask, ReadSets, TableRef};
 pub use error::{ConfigError, MediatorError};
@@ -45,9 +43,9 @@ pub use integrity::{CorruptionKind, IntegrityFinding, RelProfile};
 pub use json::Json;
 pub use merge::{merge, merge_pair, no_merge, MergeDecision, MergeOutcome};
 pub use obs::{
-    BatchingObs, CacheObs, FaultEventObs, IncrementalObs, IntegrityEventObs, IntegrityObs,
-    PhaseSample, Phases, PlanDeviationObs, ResilienceObs, RunReport, SchedulerObs, ServerObs,
-    ShipcutObs, SourceObs, TaskObs, SCHEMA_VERSION,
+    CacheObs, FaultEventObs, IncrementalObs, IntegrityEventObs, IntegrityObs, PhaseSample, Phases,
+    PlanDeviationObs, ResilienceObs, RunReport, SchedulerObs, ServerObs, ShipcutObs, SourceObs,
+    TaskObs, SCHEMA_VERSION,
 };
 pub use parallel::execute_graph_planned;
 pub use pipeline::{

@@ -116,10 +116,6 @@ pub struct TaskObs {
     /// Bytes this task's output ships over the simulated network (its ship
     /// image, counted once per consumer at a different source).
     pub shipped_bytes: f64,
-    /// Batches the task's output crossed the ship seam in: 1 per shipped
-    /// output on a materializing run, `ceil(image_rows / batch_rows)` under
-    /// chunked shipment, 0 for guards and empty outputs.
-    pub batches: u64,
     /// Actual in-process execution seconds.
     pub secs: f64,
     /// Queue/wait seconds before the task could start (zero under
@@ -197,13 +193,15 @@ pub struct PlanSeqObs {
 /// (dictionary-encoded wire size of the full output under columnar
 /// storage) and re-bases the `shipcut` savings on it, so pruned and
 /// unpruned shipments compare under the same encoding; 9 = adds the
-/// `batching` section (chunked-shipment ledger: batch size, total batches,
-/// peak resident shipment rows, estimated pipelining savings) and the
-/// per-task `batches` field; 10 = adds the `incremental` section (delta
-/// re-evaluation ledger: snapshot hit, tasks re-run vs reused, dirty
-/// tables, rows spliced, document nodes reused vs rebuilt, and the scoped
-/// constraint-check counts).
-pub const SCHEMA_VERSION: u32 = 10;
+/// chunked-shipment section (batch size, total batches, peak resident
+/// shipment rows, estimated pipelining savings) and the per-task batch
+/// count; 10 = adds the `incremental` section (delta re-evaluation ledger:
+/// snapshot hit, tasks re-run vs reused, dirty tables, rows spliced,
+/// document nodes reused vs rebuilt, and the scoped constraint-check
+/// counts); 11 = drops the chunked-shipment section and the per-task batch
+/// count (chunked shipment was retired: every task output ships once,
+/// materialized).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Which stage of the prepared-plan split a phase belongs to: everything
 /// argument-independent (compilation through estimate-based planning, plus
@@ -397,31 +395,6 @@ pub struct ShipcutObs {
     pub pruned_tasks: usize,
 }
 
-/// The batching section: the chunked-shipment ledger (see [`crate::batch`]).
-/// `Default` (disabled, all zero) describes a materializing run; when
-/// enabled, task outputs crossed the ship seam in `batch_rows`-row batches
-/// and `peak_resident_rows` bounds how many shipment rows were ever in
-/// flight at once.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchingObs {
-    /// Whether chunked shipment was active for the run.
-    pub enabled: bool,
-    /// Configured batch size in rows (0 when disabled: the whole relation
-    /// is one unbounded "batch").
-    pub batch_rows: u64,
-    /// Batches shipped across all tasks (equals the shipped-task count on
-    /// a materializing run).
-    pub total_batches: u64,
-    /// High-water mark of shipment rows resident at once. Batching bounds
-    /// this at the double-buffer window (≈ 2 × `batch_rows` per concurrent
-    /// task) instead of the largest relation.
-    pub peak_resident_rows: u64,
-    /// Estimated seconds pipelining overlapped away on the simulated wire
-    /// ([`crate::sim::NetworkModel::overlap_savings`]); zeroed in redacted
-    /// reports — it derives from wall-clock-calibrated evaluation times.
-    pub overlap_savings_secs: f64,
-}
-
 /// The incremental section: the delta re-evaluation ledger (see
 /// [`crate::delta`]). `Default` (disabled, all zero) describes a run with
 /// incremental re-evaluation off; `enabled` without `snapshot_hit`
@@ -566,8 +539,6 @@ pub struct RunReport {
     pub cache: CacheObs,
     /// What ship-cut column pruning saved on the simulated wire.
     pub shipcut: ShipcutObs,
-    /// The chunked-shipment ledger (default on materializing runs).
-    pub batching: BatchingObs,
     /// The delta re-evaluation ledger (default on non-incremental runs).
     pub incremental: IncrementalObs,
     /// The overload-resilient server's ledgers (default on per-request
@@ -600,8 +571,6 @@ pub(crate) struct ReportInputs<'a> {
     pub cache: CacheObs,
     /// Whether ship-cut liveness pruning was active during execution.
     pub shipcut_enabled: bool,
-    /// The chunked-shipment ledger of the final execution round.
-    pub batch: crate::batch::BatchLog,
     /// The delta re-evaluation ledger (default on non-incremental runs).
     pub incremental: IncrementalObs,
 }
@@ -679,7 +648,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         sched,
         cache,
         shipcut_enabled,
-        batch,
         incremental,
     } = inputs;
 
@@ -698,32 +666,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
             .filter(|m| m.ship_bytes < m.wire_bytes)
             .count(),
     };
-    let batching = {
-        // Pipelining overlaps simulated wire time with simulated (calibrated)
-        // evaluation time; a single-hop bulk estimate is enough for the
-        // headline number — per-edge routing detail lives in the plan section.
-        let ship_secs = if net.bandwidth_bytes_per_sec.is_finite() {
-            shipped.iter().fold(0.0, |a, b| a + b) / net.bandwidth_bytes_per_sec
-        } else {
-            0.0
-        };
-        let eval_secs = costs.iter().map(|c| c.eval_secs).fold(0.0, |a, s| a + s);
-        BatchingObs {
-            enabled: batch.enabled,
-            batch_rows: if batch.enabled {
-                batch.batch_rows as u64
-            } else {
-                0
-            },
-            total_batches: batch.total_batches,
-            peak_resident_rows: batch.peak_resident_rows,
-            overlap_savings_secs: if batch.enabled {
-                net.overlap_savings(ship_secs, eval_secs, batch.total_batches)
-            } else {
-                0.0
-            },
-        }
-    };
     let tasks: Vec<TaskObs> = graph
         .tasks
         .iter()
@@ -740,7 +682,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
             wire_bytes: measured[id].wire_bytes,
             ship_bytes: measured[id].ship_bytes,
             shipped_bytes: shipped[id],
-            batches: measured[id].batches,
             secs: measured[id].secs,
             wait_secs: measured[id].wait_secs,
             start_secs: measured[id].start_secs,
@@ -917,7 +858,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         scheduler,
         cache,
         shipcut,
-        batching,
         incremental,
         server: ServerObs::default(),
     }
@@ -979,7 +919,6 @@ impl RunReport {
             scheduler: SchedulerObs::default(),
             cache: CacheObs::default(),
             shipcut: ShipcutObs::default(),
-            batching: BatchingObs::default(),
             incremental: IncrementalObs::default(),
             server,
         }
@@ -1045,10 +984,6 @@ impl RunReport {
         for deviation in &mut report.scheduler.deviations {
             deviation.priority = 0.0;
         }
-        // The pipelining estimate folds in calibrated (wall-clock-derived)
-        // evaluation times; the batch/row counts themselves are deterministic
-        // and stay.
-        report.batching.overlap_savings_secs = 0.0;
         report
     }
 
@@ -1092,25 +1027,6 @@ impl RunReport {
                     ),
                     ("saved_bytes", Json::num(self.shipcut.saved_bytes)),
                     ("pruned_tasks", Json::num(self.shipcut.pruned_tasks as f64)),
-                ]),
-            ),
-            (
-                "batching",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(self.batching.enabled)),
-                    ("batch_rows", Json::num(self.batching.batch_rows as f64)),
-                    (
-                        "total_batches",
-                        Json::num(self.batching.total_batches as f64),
-                    ),
-                    (
-                        "peak_resident_rows",
-                        Json::num(self.batching.peak_resident_rows as f64),
-                    ),
-                    (
-                        "overlap_savings_secs",
-                        Json::num(self.batching.overlap_savings_secs),
-                    ),
                 ]),
             ),
             (
@@ -1369,7 +1285,6 @@ impl RunReport {
                                 ("wire_bytes", Json::num(t.wire_bytes)),
                                 ("ship_bytes", Json::num(t.ship_bytes)),
                                 ("shipped_bytes", Json::num(t.shipped_bytes)),
-                                ("batches", Json::num(t.batches as f64)),
                                 ("secs", Json::num(t.secs)),
                                 ("wait_secs", Json::num(t.wait_secs)),
                                 ("start_secs", Json::num(t.start_secs)),
@@ -1528,7 +1443,6 @@ mod tests {
             scheduler: SchedulerObs::default(),
             cache: CacheObs::default(),
             shipcut: ShipcutObs::default(),
-            batching: BatchingObs::default(),
             incremental: IncrementalObs::default(),
             server: ServerObs::default(),
         };
@@ -1570,7 +1484,6 @@ mod tests {
             scheduler: SchedulerObs::default(),
             cache: CacheObs::default(),
             shipcut: ShipcutObs::default(),
-            batching: BatchingObs::default(),
             incremental: IncrementalObs::default(),
             server: ServerObs::default(),
         };

@@ -22,12 +22,11 @@
 //! response-time *accounting* stays with the simulation in [`crate::cost`],
 //! which models the paper's network.
 
-use crate::batch::{ship_output, BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
-    input_rows, ExecOptions, ExecResult, Executor, Measured, RelStore, SchedLog, Scheduling,
-    TaskPick,
+    input_rows, ship_image_bytes, ExecOptions, ExecResult, Executor, Measured, RelStore, SchedLog,
+    Scheduling, TaskPick,
 };
 use crate::faults::{
     FaultEnv, FaultEvent, FaultPlan, IntegrityEvent, IntegrityLog, ResilienceLog, TaskFaultCtx,
@@ -245,23 +244,6 @@ impl SharedStore<'_> {
         }
     }
 
-    /// Chunked-shipment progress: patches a task's partial shipped bytes
-    /// into its consumers' edges of the dynamic scheduler's hybrid graph,
-    /// so the next pick re-prioritizes among partially complete tasks
-    /// (a consumer whose producer has most of its batches on the wire
-    /// outranks one whose producer barely started). No-op under static
-    /// scheduling; the final [`SharedStore::complete`] overwrites the
-    /// edges with the task's full measured shipment.
-    fn note_batch(&self, task: usize, shipped_so_far: f64) {
-        let mut state = self.state.lock().expect("store mutex");
-        if let Some(sched) = state.dyn_sched.as_mut() {
-            for &(consumer, pos) in &sched.consumers[task] {
-                sched.hybrid.deps[consumer][pos].1 = shipped_so_far;
-            }
-            sched.stale = true;
-        }
-    }
-
     fn complete(
         &self,
         task: usize,
@@ -387,7 +369,6 @@ pub(crate) fn drive(
         wake: Condvar::new(),
     };
     let epoch = Instant::now();
-    let ship_ledger = ShipLedger::default();
     // Relation profiles only matter when corruptions can be injected or
     // the guard checks are on; clean runs skip the catalog lookups.
     let profiling = opts.check_integrity()
@@ -426,7 +407,6 @@ pub(crate) fn drive(
             effective: &effective,
             topo_pos: &topo_pos,
             epoch,
-            ship_ledger: &ship_ledger,
             env: FaultEnv {
                 plan: opts.faults.as_ref(),
                 retry: opts.retry(),
@@ -467,7 +447,6 @@ pub(crate) fn drive(
                     dynamic: opts.scheduling() == Scheduling::Dynamic,
                     picks: state.picks,
                 },
-                batch: BatchLog::from_ledger(opts, &ship_ledger),
             });
         };
 
@@ -600,7 +579,6 @@ struct Round<'a> {
     effective: &'a [SourceId],
     topo_pos: &'a [usize],
     epoch: Instant,
-    ship_ledger: &'a ShipLedger,
     env: FaultEnv<'a>,
     profiling: bool,
 }
@@ -737,14 +715,10 @@ impl Round<'_> {
             ..Measured::default()
         };
         if let Ok(Some(rel)) = &result {
-            let shipped = ship_output(opts, self.ship_ledger, task_id, rel, |_, bytes| {
-                shared.note_batch(task_id, bytes);
-            });
             measured.out_rows = rel.len() as f64;
             measured.out_bytes = rel.byte_size() as f64;
             measured.wire_bytes = rel.wire_bytes() as f64;
-            measured.ship_bytes = shipped.ship_bytes;
-            measured.batches = shipped.batches;
+            measured.ship_bytes = ship_image_bytes(opts, task_id, rel);
         }
         let failed = result.is_err();
         shared.complete(task_id, source, result, measured, events, ledger);
@@ -932,10 +906,13 @@ mod tests {
             assert_same_relations(&graph, &cold, &resumed);
             assert_eq!(resumed.store.len(), cold.store.len());
             assert!(resumed.sched.picks.is_empty(), "{scheduling:?} picked");
-            assert_eq!(resumed.batch.total_batches, 0, "{scheduling:?} shipped");
             for (id, (c, r)) in cold.measured.iter().zip(&resumed.measured).enumerate() {
                 assert_eq!(c.secs, r.secs, "{scheduling:?} task {id} re-ran");
                 assert_eq!(c.start_secs, r.start_secs);
+                assert_eq!(
+                    c.ship_bytes, r.ship_bytes,
+                    "{scheduling:?} task {id} shipped"
+                );
             }
         }
     }
@@ -977,7 +954,6 @@ mod tests {
             .unwrap();
             assert_same_relations(&graph, &cold, &resumed);
             assert_eq!(resumed.store.len(), cold.store.len());
-            assert_eq!(resumed.batch.total_batches, cold.batch.total_batches);
             for (c, r) in cold.measured.iter().zip(&resumed.measured) {
                 assert_eq!(c.out_rows, r.out_rows);
                 assert_eq!(c.ship_bytes, r.ship_bytes);

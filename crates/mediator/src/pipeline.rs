@@ -49,29 +49,29 @@ impl MediatorOptions {
 
     /// Structural validation, applied by [`MediatorOptionsBuilder::build`]
     /// and by the run entry points (so hand-assembled options are caught
-    /// too): zero knobs that would otherwise be silently clamped, and
-    /// contradictory switch combinations, surface as a [`ConfigError`].
+    /// too): values that would otherwise be silently clamped surface as a
+    /// [`ConfigError`].
+    ///
+    /// ```
+    /// use aig_mediator::{ConfigError, MediatorOptions};
+    /// let mut o = MediatorOptions::default();
+    /// o.plan.unfold_depth = 0;
+    /// assert_eq!(o.validate(), Err(ConfigError::ZeroUnfoldDepth));
+    /// o.plan.unfold_depth = 1;
+    /// o.policy.deadline_secs = Some(-1.0);
+    /// assert_eq!(o.validate(), Err(ConfigError::InvalidDeadline));
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let policy = &self.policy;
-        if policy.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
+        if self.plan.unfold_depth == 0 {
+            return Err(ConfigError::ZeroUnfoldDepth);
         }
-        if policy.par_threshold == 0 {
-            return Err(ConfigError::ZeroParThreshold);
-        }
-        if policy.batch_rows == 0 {
-            return Err(ConfigError::ZeroBatchRows);
-        }
-        if policy.batching && !self.plan.shipcut {
-            return Err(ConfigError::BatchingWithoutShipcut);
-        }
-        Ok(())
+        ConfigError::check_deadline(self.policy.deadline_secs)
     }
 }
 
 /// Chainable construction of [`MediatorOptions`]. [`build`] validates the
-/// assembled options and returns [`ConfigError`] on degenerate knobs or
-/// contradictory switches — nothing is silently clamped:
+/// assembled options and returns [`ConfigError`] on degenerate values —
+/// nothing is silently clamped:
 ///
 /// ```
 /// use aig_mediator::{ConfigError, CutOff, MediatorOptions, Scheduling};
@@ -85,8 +85,8 @@ impl MediatorOptions {
 /// assert_eq!(options.plan.unfold_depth, 1);
 /// assert_eq!(options.policy.scheduling, Scheduling::Dynamic);
 ///
-/// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
-/// assert_eq!(err, ConfigError::ZeroThreads);
+/// let err = MediatorOptions::builder().unfold_depth(0).build().unwrap_err();
+/// assert_eq!(err, ConfigError::ZeroUnfoldDepth);
 /// ```
 ///
 /// [`build`]: MediatorOptionsBuilder::build
@@ -96,12 +96,16 @@ pub struct MediatorOptionsBuilder {
 }
 
 impl MediatorOptionsBuilder {
-    /// Initial unfolding depth for recursive AIGs (§5.5).
+    /// Initial unfolding depth for recursive AIGs (§5.5). Zero is rejected
+    /// by [`build`](MediatorOptionsBuilder::build): the shallowest plan has
+    /// one level.
     ///
     /// ```
-    /// use aig_mediator::MediatorOptions;
+    /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().unfold_depth(5).build().unwrap();
     /// assert_eq!(o.plan.unfold_depth, 5);
+    /// let err = MediatorOptions::builder().unfold_depth(0).build().unwrap_err();
+    /// assert_eq!(err, ConfigError::ZeroUnfoldDepth);
     /// ```
     pub fn unfold_depth(mut self, depth: usize) -> Self {
         self.options.plan.unfold_depth = depth;
@@ -257,81 +261,21 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Worker threads for the partitioned in-process kernels. Zero is
-    /// rejected by [`build`](MediatorOptionsBuilder::build) — it is no
-    /// longer silently clamped to 1.
+    /// Per-request deadline budget in seconds (`None` = unbounded). NaN and
+    /// negative budgets are rejected by
+    /// [`build`](MediatorOptionsBuilder::build).
     ///
     /// ```
     /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().threads(4).build().unwrap();
-    /// assert_eq!(o.policy.threads, 4);
-    /// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroThreads);
-    /// ```
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.policy.threads = threads;
-        self
-    }
-
-    /// Minimum input rows before a partitioned kernel engages. Zero is
-    /// rejected by [`build`](MediatorOptionsBuilder::build).
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().par_threshold(64).build().unwrap();
-    /// assert_eq!(o.policy.par_threshold, 64);
-    /// let err = MediatorOptions::builder().par_threshold(0).build().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroParThreshold);
-    /// ```
-    pub fn par_threshold(mut self, threshold: usize) -> Self {
-        self.options.policy.par_threshold = threshold;
-        self
-    }
-
-    /// Per-request deadline budget in seconds (`None` = unbounded).
-    ///
-    /// ```
-    /// use aig_mediator::MediatorOptions;
     /// let o = MediatorOptions::builder().deadline_secs(Some(0.5)).build().unwrap();
     /// assert_eq!(o.policy.deadline_secs, Some(0.5));
+    /// for bad in [f64::NAN, -1.0] {
+    ///     let err = MediatorOptions::builder().deadline_secs(Some(bad)).build().unwrap_err();
+    ///     assert_eq!(err, ConfigError::InvalidDeadline);
+    /// }
     /// ```
     pub fn deadline_secs(mut self, budget: Option<f64>) -> Self {
         self.options.policy.deadline_secs = budget;
-        self
-    }
-
-    /// Chunked shipment (streaming batch execution, [`crate::batch`]).
-    /// Requires `shipcut`; the contradiction is rejected at build time.
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().batching(true).build().unwrap();
-    /// assert!(o.policy.batching);
-    /// let err = MediatorOptions::builder()
-    ///     .batching(true)
-    ///     .shipcut(false)
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert_eq!(err, ConfigError::BatchingWithoutShipcut);
-    /// ```
-    pub fn batching(mut self, batching: bool) -> Self {
-        self.options.policy.batching = batching;
-        self
-    }
-
-    /// Batch size (rows) of the chunked shipment seam. Zero is rejected at
-    /// build time even when batching is off, so flipping `batching` on
-    /// later cannot surface a latent bad knob.
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().batch_rows(256).build().unwrap();
-    /// assert_eq!(o.policy.batch_rows, 256);
-    /// let err = MediatorOptions::builder().batch_rows(0).build().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroBatchRows);
-    /// ```
-    pub fn batch_rows(mut self, rows: usize) -> Self {
-        self.options.policy.batch_rows = rows;
         self
     }
 
@@ -451,7 +395,7 @@ pub fn run_with_report(
         None => None,
     };
 
-    let mut depth = plan_options.unfold_depth.max(1);
+    let mut depth = plan_options.unfold_depth;
     let mut rounds = 0usize;
     let mut current = None;
     loop {
@@ -627,6 +571,19 @@ mod tests {
             .build()
             .unwrap();
         assert!(run_ok(&aig, &catalog, &options));
+    }
+
+    #[test]
+    fn zero_unfold_depth_is_rejected_not_run_at_depth_one() {
+        let aig = sigma0().unwrap();
+        let catalog = mini_hospital_catalog().unwrap();
+        let mut options = MediatorOptions::builder()
+            .cutoff(CutOff::Truncate)
+            .build()
+            .unwrap();
+        options.plan.unfold_depth = 0;
+        let err = run(&aig, &catalog, &[("date", Value::str("d1"))], &options).unwrap_err();
+        assert_eq!(err, MediatorError::Config(ConfigError::ZeroUnfoldDepth));
     }
 
     fn run_ok(aig: &Aig, catalog: &Catalog, options: &MediatorOptions) -> bool {

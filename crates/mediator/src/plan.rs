@@ -403,7 +403,6 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         resilience,
         mut integrity,
         sched,
-        batch,
     } = exec;
     let policy = &exec_opts.policy;
 
@@ -530,7 +529,6 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             sched: &sched,
             cache,
             shipcut_enabled: plan.shipcut.is_some(),
-            batch,
             incremental,
         },
         std::mem::take(phases),

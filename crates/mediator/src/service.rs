@@ -20,7 +20,7 @@
 //! subtrees, and scope-checks only the constraints those subtrees touch —
 //! producing a document byte-identical to a cold full run.
 
-use crate::error::MediatorError;
+use crate::error::{ConfigError, MediatorError};
 use crate::exec::{ExecOptions, Measured, RelStore};
 use crate::faults::{Deadline, FaultPlan};
 use crate::obs::{CacheObs, IncrementalObs, Phases, RunReport};
@@ -481,7 +481,9 @@ impl Mediator {
     /// served as empty views with all their faults suppressed (the mediator
     /// never contacts them). With a default [`RequestCtx`] and no policy
     /// deadline this is exactly [`Mediator::request`] — same plan cache,
-    /// same execution, byte-identical documents.
+    /// same execution, byte-identical documents. A NaN or negative
+    /// `ctx.deadline_secs` is rejected with
+    /// [`ConfigError::InvalidDeadline`] before anything runs.
     pub fn request_with(
         &self,
         aig: &Aig,
@@ -491,6 +493,7 @@ impl Mediator {
         let skipped_ids = self.resolve_sources(&ctx.skip_sources)?;
         let degraded = !skipped_ids.is_empty();
         let budget = ctx.deadline_secs.or(self.policy().deadline_secs);
+        ConfigError::check_deadline(budget)?;
 
         // Build per-request overrides only when something actually differs
         // from the service configuration: the common clean path serves
@@ -859,7 +862,7 @@ impl Mediator {
     /// unfolding depth, or the promoted depth if a frontier extension
     /// already taught us the data recurses deeper.
     fn starting_depth(&self, fp: u64) -> usize {
-        let configured = self.plan_options.unfold_depth.max(1);
+        let configured = self.plan_options.unfold_depth;
         let cache = self.lock();
         cache
             .hints
@@ -960,6 +963,42 @@ mod tests {
         let stats = mediator.cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn invalid_deadlines_are_config_errors_not_expired_budgets() {
+        let aig = sigma0().unwrap();
+        let args = [("date", Value::str("d1"))];
+        let mediator = Mediator::new(
+            mini_hospital_catalog().unwrap(),
+            &MediatorOptions::default(),
+        )
+        .unwrap();
+        let with_budget = |budget: f64| RequestCtx {
+            deadline_secs: Some(budget),
+            ..RequestCtx::default()
+        };
+        for bad in [f64::NAN, -1.0] {
+            // A policy budget is rejected when the service is built ...
+            let mut options = MediatorOptions::default();
+            options.policy.deadline_secs = Some(bad);
+            let err = Mediator::new(mini_hospital_catalog().unwrap(), &options).unwrap_err();
+            assert_eq!(err, MediatorError::Config(ConfigError::InvalidDeadline));
+            // ... and a per-request override when the request arrives.
+            let err = mediator
+                .request_with(&aig, &args, &with_budget(bad))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                MediatorError::Config(ConfigError::InvalidDeadline),
+                "budget {bad}"
+            );
+        }
+        // Zero and infinite budgets stay valid.
+        assert!(ConfigError::check_deadline(Some(0.0)).is_ok());
+        assert!(mediator
+            .request_with(&aig, &args, &with_budget(f64::INFINITY))
+            .is_ok());
     }
 
     #[test]

@@ -232,25 +232,16 @@ impl ShipCut {
     /// column selection (shared `Arc` column buffers), so no cells are
     /// copied to measure the image. Never larger than `rel.wire_bytes()`.
     pub fn ship_bytes(&self, task: usize, rel: &Relation) -> usize {
-        self.ship_image(task, rel).wire_bytes()
-    }
-
-    /// The ship image itself: the relation a pruning shipper would put on
-    /// the wire. When nothing is pruned or deduplicated this is `rel`
-    /// (shared column buffers, not a copy), so measuring or batching the
-    /// image costs nothing beyond the pruning it performs. The chunked
-    /// shipment seam ([`crate::batch`]) slices this image into batches.
-    pub fn ship_image(&self, task: usize, rel: &Relation) -> Relation {
         let profile = &self.profiles[task];
         let cols = self.live_columns(task, rel);
         if cols.len() == rel.arity() && !profile.dedup {
-            return rel.clone();
+            return rel.wire_bytes();
         }
         let image = rel.project_positions(&cols);
         if profile.dedup {
-            image.distinct()
+            image.distinct().wire_bytes()
         } else {
-            image
+            image.wire_bytes()
         }
     }
 

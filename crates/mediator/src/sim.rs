@@ -56,20 +56,6 @@ impl NetworkModel {
         }
     }
 
-    /// Estimated seconds chunked shipment overlaps away by pipelining:
-    /// with `batches` batches, shipment of batch *k* proceeds while the
-    /// consumer evaluates batch *k − 1*, hiding the smaller of the two
-    /// times on all but the first batch. One batch (or zero) has nothing
-    /// to overlap with and saves nothing. An estimate, not a measurement —
-    /// on a single CPU the overlap is between simulated wire time and
-    /// evaluation time, not between real concurrent work.
-    pub fn overlap_savings(&self, ship_secs: f64, eval_secs: f64, batches: u64) -> f64 {
-        if batches <= 1 {
-            return 0.0;
-        }
-        ship_secs.min(eval_secs) * (batches as f64 - 1.0) / batches as f64
-    }
-
     /// `trans_cost(S1, S2, B)`: seconds to move `bytes` from `from` to `to`.
     ///
     /// * zero when the endpoints coincide;
@@ -137,17 +123,5 @@ mod tests {
     fn infinite_network_only_pays_latency() {
         let net = NetworkModel::infinite();
         assert_eq!(net.trans_cost(SourceId(1), SourceId(2), 1e12), 0.0);
-    }
-
-    #[test]
-    fn overlap_savings_hides_the_smaller_side_on_all_but_one_batch() {
-        let net = NetworkModel::mbps(1.0);
-        // A single batch (or none) pipelines nothing.
-        assert_eq!(net.overlap_savings(3.0, 5.0, 0), 0.0);
-        assert_eq!(net.overlap_savings(3.0, 5.0, 1), 0.0);
-        // 4 batches hide min(ship, eval) on 3 of the 4.
-        assert!((net.overlap_savings(3.0, 5.0, 4) - 2.25).abs() < 1e-12);
-        // Symmetric in which side is smaller.
-        assert!((net.overlap_savings(5.0, 3.0, 4) - 2.25).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! Byte-identity conformance for incremental re-evaluation: across the
-//! matrix {Sequential, Static, Dynamic scheduling} × {batching on/off}
-//! × {faults off / transient+latency}, a request served incrementally
+//! matrix {Sequential, Static, Dynamic scheduling} × {faults off /
+//! transient+latency}, a request served incrementally
 //! after a source delta must produce a document **byte-identical** to a
 //! cold full run of a fresh mediator over the post-delta catalog — the
 //! re-run subgraph, the splice, and the subtree retag change *how much
@@ -36,13 +36,11 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn options(scheduling: Scheduling, batching: bool, faults: bool) -> MediatorOptions {
+fn options(scheduling: Scheduling, faults: bool) -> MediatorOptions {
     let mut builder = MediatorOptions::builder()
         .unfold_depth(3)
         .incremental(true)
-        .scheduling(scheduling)
-        .batching(batching)
-        .batch_rows(2);
+        .scheduling(scheduling);
     if faults {
         builder = builder
             .faults(Some(FaultConfig {
@@ -73,12 +71,12 @@ fn next_delta(catalog: &Catalog, date: &str, step: usize) -> SourceDelta {
     }
 }
 
-fn assert_cell(scheduling: Scheduling, batching: bool, faults: bool) {
+fn assert_cell(scheduling: Scheduling, faults: bool) {
     let fx = fixture(11);
-    let opts = options(scheduling, batching, faults);
+    let opts = options(scheduling, faults);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
-    let cell = format!("scheduling={scheduling:?} batching={batching} faults={faults}");
+    let cell = format!("scheduling={scheduling:?} faults={faults}");
 
     // Cold run: the ledger is on, but there is no snapshot to splice.
     let (_, cold) = mediator.request(&fx.aig, &args).unwrap();
@@ -134,28 +132,22 @@ fn assert_cell(scheduling: Scheduling, batching: bool, faults: bool) {
 
 #[test]
 fn sequential_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(Scheduling::Sequential, batching, faults);
-        }
+    for faults in [false, true] {
+        assert_cell(Scheduling::Sequential, faults);
     }
 }
 
 #[test]
 fn static_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(Scheduling::Static, batching, faults);
-        }
+    for faults in [false, true] {
+        assert_cell(Scheduling::Static, faults);
     }
 }
 
 #[test]
 fn dynamic_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(Scheduling::Dynamic, batching, faults);
-        }
+    for faults in [false, true] {
+        assert_cell(Scheduling::Dynamic, faults);
     }
 }
 
@@ -214,7 +206,7 @@ fn hard_outage_with_replica_is_byte_identical_in_every_mode() {
 #[test]
 fn unchanged_catalog_reruns_nothing() {
     let fx = fixture(13);
-    let opts = options(Scheduling::Sequential, false, false);
+    let opts = options(Scheduling::Sequential, false);
     let mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
 
@@ -246,7 +238,7 @@ fn unchanged_catalog_reruns_nothing() {
 #[test]
 fn empty_delta_marks_nothing_dirty() {
     let fx = fixture(17);
-    let opts = options(Scheduling::Sequential, false, false);
+    let opts = options(Scheduling::Sequential, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -262,7 +254,7 @@ fn empty_delta_marks_nothing_dirty() {
 #[test]
 fn delta_report_names_the_dirty_tables() {
     let fx = fixture(19);
-    let opts = options(Scheduling::Sequential, false, false);
+    let opts = options(Scheduling::Sequential, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -297,7 +289,7 @@ fn delta_report_names_the_dirty_tables() {
 #[test]
 fn row_deltas_keep_plans_warm_while_schema_deltas_invalidate() {
     let fx = fixture(23);
-    let opts = options(Scheduling::Sequential, false, false);
+    let opts = options(Scheduling::Sequential, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();

@@ -112,11 +112,11 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
     assert!(total_injected > 0, "the matrix never injected a fault");
 }
 
-/// The chaos matrix again, with the partitioned parallel kernels and
-/// ship-cut pruning switched on: recovered runs must still be byte-identical
-/// to the clean sequential run. (CI also runs this as the `--threads` smoke.)
+/// The chaos matrix again, with ship-cut pruning switched on: recovered
+/// runs must still be byte-identical to the clean sequential run. (CI also
+/// runs this as the ship-cut smoke.)
 #[test]
-fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
+fn chaos_matrix_is_byte_identical_with_shipcut() {
     let catalog = mini_hospital_catalog().unwrap();
     let (aig, graph) = setup(&catalog);
     let args = [("date", Value::str("d1"))];
@@ -132,7 +132,7 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(&cfg, &catalog).unwrap();
-        let mut opts = faulted_opts(plan, fast_retry(6)).with_threads(4);
+        let mut opts = faulted_opts(plan, fast_retry(6));
         opts.shipcut = Some(shipcut.clone());
 
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();

@@ -1,8 +1,7 @@
 //! Wrong-answer chaos: a seeded conformance harness over the corruption
 //! faults of [`aig_mediator::faults`] and the integrity defense of
 //! [`aig_mediator::integrity`]. The matrix sweeps {fault kind} × {rate} ×
-//! {Sequential, Static, Dynamic scheduling} × {1, 4 threads} ×
-//! {retry policy} and asserts the system is **never silently wrong**:
+//! {Sequential, Static, Dynamic scheduling} × {retry policy} and asserts the system is **never silently wrong**:
 //! every injected corruption is either *masked* (the published relations
 //! are byte-identical to a clean run) or *detected* with a structured
 //! [`MediatorError::IntegrityViolation`] naming the task, table, and the
@@ -122,8 +121,7 @@ fn assert_violation_is_structured(graph: &TaskGraph, catalog: &Catalog, err: &Me
 }
 
 /// The headline conformance sweep: {corruption rate} × {seed} × {scheduling:
-/// Sequential, Static, Dynamic} × {1, 4 threads} ×
-/// {retrying, zero-retry} with checks on. Every run is either byte-identical
+/// Sequential, Static, Dynamic} × {retrying, zero-retry} with checks on. Every run is either byte-identical
 /// to the clean run with a balanced all-masked ledger, or fails with a
 /// structured `IntegrityViolation` — never silently wrong.
 #[test]
@@ -160,10 +158,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &catalog,
                         &graph,
                         &args,
-                        &opts
-                            .clone()
-                            .with_threads(4)
-                            .with_scheduling(Scheduling::Dynamic),
+                        &opts.clone().with_scheduling(Scheduling::Dynamic),
                     ),
                 ];
                 let mut ok_ledgers = Vec::new();
@@ -486,7 +481,7 @@ fn pipeline_reports_the_integrity_ledger() {
 /// Determinism regression (the `FaultPlan` purity contract): identical
 /// `(seed, config, catalog)` produce byte-identical wrong-answer schedules
 /// — across repeated plan constructions, across query order, and across
-/// scheduling modes and thread counts observing them.
+/// scheduling modes observing them.
 #[test]
 fn fault_schedules_are_deterministic_across_executors_and_repeats() {
     let catalog = mini_hospital_catalog().unwrap();
@@ -547,7 +542,7 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
     );
 
     // Every mode observes the same schedule: the sorted integrity ledgers
-    // of every thread-count/scheduling combination are identical.
+    // of every scheduling mode are identical.
     let cfg = FaultConfig {
         seed: 42,
         corrupt_rate: 0.3,
@@ -560,15 +555,8 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         ledgers.push(seq.integrity.sorted_events());
     }
-    for (threads, scheduling) in [
-        (1, Scheduling::Static),
-        (4, Scheduling::Static),
-        (4, Scheduling::Dynamic),
-    ] {
-        let opts = opts
-            .clone()
-            .with_threads(threads)
-            .with_scheduling(scheduling);
+    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
+        let opts = opts.clone().with_scheduling(scheduling);
         let par = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         ledgers.push(par.integrity.sorted_events());
     }

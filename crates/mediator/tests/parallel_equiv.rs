@@ -145,29 +145,3 @@ fn pipeline_parallel_flag_matches_sequential() {
         parallel.response_merged_secs
     );
 }
-
-/// `ExecPolicy::par_threshold` only moves the sequential/partitioned
-/// crossover: pinning it to 1 forces every kernel (hash join build/probe,
-/// canonical sort, dedup) down the partitioned path even on a tiny fixture,
-/// and the document must stay byte-identical to the default policy.
-#[test]
-fn pinned_par_threshold_is_byte_identical() {
-    let data = HospitalConfig::tiny(5).generate().unwrap();
-    let aig = sigma0().unwrap();
-    let args = [("date", Value::str(&data.dates[0]))];
-    let options = MediatorOptions::builder()
-        .unfold_depth(3)
-        .max_depth(3)
-        .cutoff(CutOff::Truncate)
-        .network(NetworkModel::mbps(1.0))
-        .build()
-        .unwrap();
-    let baseline = run(&aig, &data.catalog, &args, &options).unwrap();
-    for threads in [1, 4] {
-        let mut pinned = options.clone();
-        pinned.policy.threads = threads;
-        pinned.policy.par_threshold = 1;
-        let forced = run(&aig, &data.catalog, &args, &pinned).unwrap();
-        assert_eq!(baseline.tree, forced.tree, "threads={threads}");
-    }
-}

@@ -1,14 +1,12 @@
-//! Byte-identity property suite for the ship-cut optimization, the
-//! partitioned parallel kernels, and the columnar interned storage: across
-//! seeded datagen catalogs, the matrix {pruning on/off} × {1, N threads} ×
-//! {Sequential, Static, Dynamic scheduling} × {faults on/off} must produce canonical
-//! documents and relation stores **byte-identical** to the sequential,
-//! unpruned baseline — and in every cell the column-major store must equal
-//! its row-major reconstruction (materialize rows, re-intern, compare).
-//! Ship-cut is a measurement-time optimization (what crosses the wire),
-//! never a semantic one; the parallel kernels partition work but merge
-//! deterministically; interning is canonical, so the columnar image carries
-//! exactly the row-major content.
+//! Byte-identity property suite for the ship-cut optimization and the
+//! columnar interned storage: across seeded datagen catalogs, the matrix
+//! {pruning on/off} × {Sequential, Static, Dynamic scheduling} × {faults
+//! on/off} must produce canonical documents and relation stores
+//! **byte-identical** to the sequential, unpruned baseline — and in every
+//! cell the column-major store must equal its row-major reconstruction
+//! (materialize rows, re-intern, compare). Ship-cut is a measurement-time
+//! optimization (what crosses the wire), never a semantic one; interning is
+//! canonical, so the columnar image carries exactly the row-major content.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
@@ -104,86 +102,41 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
         let baseline = run_cell(&fx, &ExecOptions::default());
 
         for prune in [false, true] {
-            for threads in [1usize, 4] {
-                for faults in [false, true] {
-                    let mut opts = ExecOptions::default().with_threads(threads);
-                    opts.shipcut = prune.then(|| shipcut.clone());
-                    if faults {
-                        let cfg = FaultConfig {
-                            seed: rng.gen_range(1u64..1 << 32),
-                            transient_rate: 0.15,
-                            latency_rate: 0.1,
-                            latency_secs: 0.0002,
-                            ..FaultConfig::default()
-                        };
-                        opts.faults = Some(FaultPlan::new(&cfg, &fx.catalog).unwrap());
-                        opts.policy.retry = RetryPolicy {
-                            max_attempts: 6,
-                            backoff_base_secs: 0.0001,
-                            backoff_cap_secs: 0.001,
-                            jitter: 0.5,
-                            timeout_secs: f64::INFINITY,
-                        };
-                    }
-                    let what =
-                        format!("seed {seed} prune={prune} threads={threads} faults={faults}");
-                    for scheduling in [
-                        Scheduling::Sequential,
-                        Scheduling::Static,
-                        Scheduling::Dynamic,
-                    ] {
-                        let opts = opts.clone().with_scheduling(scheduling);
-                        let cell = run_cell(&fx, &opts);
-                        assert_identical(&fx, &baseline, &cell, &format!("{what} {scheduling:?}"));
-                    }
+            for faults in [false, true] {
+                let mut opts = ExecOptions {
+                    shipcut: prune.then(|| shipcut.clone()),
+                    ..ExecOptions::default()
+                };
+                if faults {
+                    let cfg = FaultConfig {
+                        seed: rng.gen_range(1u64..1 << 32),
+                        transient_rate: 0.15,
+                        latency_rate: 0.1,
+                        latency_secs: 0.0002,
+                        ..FaultConfig::default()
+                    };
+                    opts.faults = Some(FaultPlan::new(&cfg, &fx.catalog).unwrap());
+                    opts.policy.retry = RetryPolicy {
+                        max_attempts: 6,
+                        backoff_base_secs: 0.0001,
+                        backoff_cap_secs: 0.001,
+                        jitter: 0.5,
+                        timeout_secs: f64::INFINITY,
+                    };
+                }
+                let what = format!("seed {seed} prune={prune} faults={faults}");
+                for scheduling in [
+                    Scheduling::Sequential,
+                    Scheduling::Static,
+                    Scheduling::Dynamic,
+                ] {
+                    let opts = opts.clone().with_scheduling(scheduling);
+                    let cell = run_cell(&fx, &opts);
+                    assert_identical(&fx, &baseline, &cell, &format!("{what} {scheduling:?}"));
                 }
             }
         }
     }
-}
-
-/// The satellite regression for the Gen canonical sort: on a relation large
-/// enough to engage the partitioned sort kernel (> its 2048-row threshold),
-/// the by-reference comparator at any thread count must reproduce the
-/// ordering of the original clone-a-key-per-comparison sort exactly —
-/// including tie-breaks, since the parallel merge is stable.
-#[test]
-fn large_relation_canonical_sort_is_identical_across_threads() {
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
-    let owners: Vec<Value> = (0..64).map(|i| Value::str(format!("o{i}"))).collect();
-    let mut rows: Vec<Vec<Value>> = (0..6000)
-        .map(|i| {
-            vec![
-                rng.pick(&owners).clone(),
-                Value::str(format!("r{i}")), // unique: exposes unstable merges
-                Value::str(format!("p{}", rng.gen_range(0u64..8))),
-                Value::str(format!("q{}", rng.gen_range(0u64..4))),
-            ]
-        })
-        .collect();
-
-    // The pre-fix ordering: clone the key per comparison (the allocation this
-    // PR removes), ignoring column 1 exactly as the Gen kernel does.
-    let mut expected = rows.clone();
-    #[allow(clippy::redundant_clone)]
-    expected.sort_by(|a, b| (a[0].clone(), &a[2..]).cmp(&(b[0].clone(), &b[2..])));
-
-    for threads in [1usize, 2, 4] {
-        let mut sorted = rows.clone();
-        aig_relstore::par::stable_sort_rows(&mut sorted, threads, |a, b| {
-            a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..]))
-        });
-        assert_eq!(sorted, expected, "threads={threads}");
-    }
-
-    // Sanity: the generator actually produced ties on the sort key, so the
-    // stability claim was exercised.
-    rows.sort_by(|a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])));
-    let ties = rows
-        .windows(2)
-        .filter(|w| w[0][0] == w[1][0] && w[0][2..] == w[1][2..])
-        .count();
-    assert!(ties > 100, "only {ties} ties; fixture too weak");
 }
 
 /// Liveness never drops bookkeeping or key-constraint columns: every task

@@ -17,7 +17,6 @@ pub mod catalog;
 pub mod delta;
 pub mod error;
 pub mod intern;
-pub mod par;
 pub mod relation;
 pub mod schema;
 pub mod stats;
@@ -28,7 +27,7 @@ pub use catalog::{Catalog, Database, SourceId};
 pub use delta::{DeltaApplied, RowBatch, SourceDelta};
 pub use error::StoreError;
 pub use intern::Sym;
-pub use relation::{payload_scans, Batches, Relation};
+pub use relation::{payload_scans, Relation};
 pub use schema::{Column, TableSchema};
 pub use stats::TableStats;
 pub use table::{Index, Row, Table};

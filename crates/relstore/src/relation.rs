@@ -250,16 +250,6 @@ impl Relation {
         self.touch();
     }
 
-    /// Appends a row of already-interned symbols (arity-checked).
-    pub fn push_syms(&mut self, row: &[Sym]) {
-        debug_assert_eq!(row.len(), self.columns.len());
-        for (col, &sym) in self.cols.iter_mut().zip(row) {
-            Arc::make_mut(col).push(sym);
-        }
-        self.len += 1;
-        self.touch();
-    }
-
     /// Appends all rows of `other`; column names must match exactly.
     pub fn extend(&mut self, other: &Relation) -> Result<(), StoreError> {
         if self.columns != other.columns {
@@ -315,7 +305,7 @@ impl Relation {
     /// column through the index vector.
     pub fn gather(&mut self, keep: &[u32]) {
         for col in &mut self.cols {
-            *col = Arc::new(crate::par::apply_perm(col, keep));
+            *col = Arc::new(keep.iter().map(|&i| col[i as usize]).collect());
         }
         self.len = keep.len();
         self.touch();
@@ -337,19 +327,6 @@ impl Relation {
     /// Removes duplicate rows, preserving first-occurrence order
     /// (set semantics).
     pub fn dedup(&mut self) {
-        self.dedup_parallel_with(1, crate::par::PAR_THRESHOLD);
-    }
-
-    /// Removes duplicate rows like [`Relation::dedup`], partitioning the
-    /// scan over up to `threads` threads for large relations. The result is
-    /// byte-identical to the sequential dedup (see [`crate::par`]).
-    pub fn dedup_parallel(&mut self, threads: usize) {
-        self.dedup_parallel_with(threads, crate::par::PAR_THRESHOLD);
-    }
-
-    /// [`Relation::dedup_parallel`] with an explicit sequential-fallback
-    /// threshold (the mediator's `ExecPolicy::par_threshold`).
-    pub fn dedup_parallel_with(&mut self, threads: usize, threshold: usize) {
         if self.len < 2 {
             return;
         }
@@ -359,8 +336,13 @@ impl Relation {
             return;
         }
         let flat = self.flat_syms();
-        let keys: Vec<&[Sym]> = flat.chunks(self.arity()).collect();
-        let keep = crate::par::dedup_indices(&keys, threads, threshold);
+        let mut seen: HashSet<&[Sym]> = HashSet::with_capacity(self.len);
+        let keep: Vec<u32> = flat
+            .chunks(self.arity())
+            .zip(0u32..)
+            .filter(|&(row, _)| seen.insert(row))
+            .map(|(_, i)| i)
+            .collect();
         if keep.len() != self.len {
             self.gather(&keep);
         }
@@ -392,7 +374,13 @@ impl Relation {
             return;
         }
         let reader = Reader::snapshot();
-        let perm = crate::par::sort_perm(self.len, 1, usize::MAX, |a, b| {
+        assert!(
+            u32::try_from(self.len).is_ok(),
+            "relation too large to sort"
+        );
+        // A stable argsort: ties keep ascending row indices.
+        let mut perm: Vec<u32> = (0..self.len as u32).collect();
+        perm.sort_by(|&a, &b| {
             self.cols
                 .iter()
                 .map(|c| reader.cmp(c[a as usize], c[b as usize]))
@@ -486,11 +474,10 @@ impl Relation {
         self.sizes.byte_size.get().is_some() || self.sizes.wire_bytes.get().is_some()
     }
 
-    /// The rows `[start, start + rows)` as an independent relation — the
-    /// batch unit of the mediator's chunked shipment. Slicing the whole
-    /// relation (`start == 0`, `rows >= len`) is a pointer clone that keeps
-    /// the memoized sizes; a proper sub-range copies the column slices and
-    /// starts a fresh generation.
+    /// The rows `[start, start + rows)` as an independent relation.
+    /// Slicing the whole relation (`start == 0`, `rows >= len`) is a
+    /// pointer clone that keeps the memoized sizes; a proper sub-range
+    /// copies the column slices and starts a fresh generation.
     pub fn slice(&self, start: usize, rows: usize) -> Relation {
         let end = start.saturating_add(rows).min(self.len);
         let start = start.min(self.len);
@@ -553,23 +540,6 @@ impl Relation {
         })
     }
 
-    /// Iterates the relation as consecutive batches of at most `batch_rows`
-    /// rows (`usize::MAX` ≙ one whole-relation batch). An empty relation
-    /// yields no batches; `batch_rows == 0` is treated as 1. Concatenating
-    /// the batches in order reproduces the relation exactly.
-    pub fn batches(&self, batch_rows: usize) -> Batches<'_> {
-        Batches {
-            rel: self,
-            batch_rows: batch_rows.max(1),
-            next: 0,
-        }
-    }
-
-    /// Number of batches [`Relation::batches`] yields for `batch_rows`.
-    pub fn batch_count(&self, batch_rows: usize) -> usize {
-        self.len.div_ceil(batch_rows.max(1))
-    }
-
     /// Renames the columns (arity must be unchanged).
     pub fn with_columns(mut self, columns: Vec<String>) -> Relation {
         assert_eq!(columns.len(), self.columns.len());
@@ -582,35 +552,6 @@ impl Relation {
         self.rows_vec()
     }
 }
-
-/// Iterator over consecutive row batches of a relation
-/// (see [`Relation::batches`]).
-#[derive(Debug)]
-pub struct Batches<'a> {
-    rel: &'a Relation,
-    batch_rows: usize,
-    next: usize,
-}
-
-impl Iterator for Batches<'_> {
-    type Item = Relation;
-
-    fn next(&mut self) -> Option<Relation> {
-        if self.next >= self.rel.len() {
-            return None;
-        }
-        let batch = self.rel.slice(self.next, self.batch_rows);
-        self.next += batch.len();
-        Some(batch)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.rel.len() - self.next).div_ceil(self.batch_rows);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for Batches<'_> {}
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -668,6 +609,35 @@ mod tests {
         r.dedup();
         assert_eq!(r.len(), 2);
         assert_eq!(r.cell(0, 0), &Value::str("x"));
+    }
+
+    /// Sort and dedup on a duplicate-heavy relation agree with the
+    /// row-major references: a stable lexicographic `sort` and a
+    /// first-occurrence `HashSet` retain.
+    #[test]
+    fn sort_and_dedup_match_row_major_references() {
+        let rows: Vec<Vec<Value>> = (0..5000)
+            .map(|i| {
+                vec![
+                    Value::int(((i * 7919) % 257) as i64),
+                    Value::str(format!("s{}", (i * 31) % 97)),
+                ]
+            })
+            .collect();
+        let columns = vec!["a".to_string(), "b".to_string()];
+
+        let mut sorted = Relation::new(columns.clone(), rows.clone()).unwrap();
+        sorted.sort();
+        let mut expected = rows.clone();
+        expected.sort();
+        assert_eq!(sorted.rows_vec(), expected);
+
+        let mut deduped = Relation::new(columns, rows.clone()).unwrap();
+        deduped.dedup();
+        let mut seen = HashSet::new();
+        let mut expected = rows;
+        expected.retain(|row| seen.insert(row.clone()));
+        assert_eq!(deduped.rows_vec(), expected);
     }
 
     #[test]
@@ -740,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_batches_round_trip() {
+    fn slice_shares_whole_and_copies_sub_ranges() {
         let r = rel();
         // Whole-relation slice is a pointer clone sharing the size cache.
         let whole = r.slice(0, usize::MAX);
@@ -751,18 +721,6 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail.row(0), r.row(1));
         assert_eq!(r.slice(5, 1).len(), 0);
-        // Batches concatenate back to the original, for every batch size.
-        for batch_rows in [1, 2, 3, usize::MAX] {
-            let mut rebuilt = Relation::empty(r.columns().to_vec());
-            let batches: Vec<Relation> = r.batches(batch_rows).collect();
-            assert_eq!(batches.len(), r.batch_count(batch_rows));
-            for b in &batches {
-                assert!(b.len() <= batch_rows);
-                rebuilt.extend(b).unwrap();
-            }
-            assert_eq!(rebuilt, r, "batch_rows={batch_rows}");
-        }
-        assert_eq!(Relation::empty(vec!["a".into()]).batches(2).count(), 0);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use crate::ast::{CmpOp, FromItem, Pred, Query, Scalar, SetRef};
 use crate::error::SqlError;
 use aig_relstore::intern::{self, Sym};
-use aig_relstore::par::PAR_THRESHOLD;
 use aig_relstore::{Catalog, Relation, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -95,69 +94,6 @@ enum Key {
 /// Executes `query` against `catalog` with the given parameter bindings,
 /// producing a relation whose columns follow the SELECT list.
 pub fn execute(query: &Query, catalog: &Catalog, params: &Params) -> Result<Relation, SqlError> {
-    execute_with(query, catalog, params, 1)
-}
-
-/// Like [`execute`], but with `threads > 1` the hash-join build and probe
-/// phases and the DISTINCT dedup run partitioned over up to that many
-/// scoped threads. Partitions are contiguous and merged in partition order,
-/// so the result is **byte-identical** to the sequential path (small inputs
-/// fall back to it outright).
-pub fn execute_with(
-    query: &Query,
-    catalog: &Catalog,
-    params: &Params,
-    threads: usize,
-) -> Result<Relation, SqlError> {
-    execute_tuned(query, catalog, params, threads, PAR_THRESHOLD)
-}
-
-/// [`execute_with`] with an explicit sequential-fallback threshold for the
-/// partitioned kernels (the mediator's `ExecPolicy::par_threshold`).
-pub fn execute_tuned(
-    query: &Query,
-    catalog: &Catalog,
-    params: &Params,
-    threads: usize,
-    par_threshold: usize,
-) -> Result<Relation, SqlError> {
-    execute_inner(query, catalog, params, threads, par_threshold, None)
-}
-
-/// [`execute_tuned`] in chunked-consumption mode (the mediator's
-/// `ExecPolicy::batching`): the sequential hash-join build and the DISTINCT
-/// dedup consume their inputs in batches of at most `batch_rows` rows
-/// through the incremental sinks ([`JoinBuild`], [`IncrementalDistinct`])
-/// instead of one whole-relation scan, so a consumer can start work on
-/// batch `k−1` while batch `k` is still in flight. Inputs large enough for
-/// the partitioned kernels still take them — those are batch-agnostic — and
-/// the output is **byte-identical** to [`execute_tuned`] either way.
-pub fn execute_streamed(
-    query: &Query,
-    catalog: &Catalog,
-    params: &Params,
-    threads: usize,
-    par_threshold: usize,
-    batch_rows: usize,
-) -> Result<Relation, SqlError> {
-    execute_inner(
-        query,
-        catalog,
-        params,
-        threads,
-        par_threshold,
-        Some(batch_rows.max(1)),
-    )
-}
-
-fn execute_inner(
-    query: &Query,
-    catalog: &Catalog,
-    params: &Params,
-    threads: usize,
-    par_threshold: usize,
-    batch_rows: Option<usize>,
-) -> Result<Relation, SqlError> {
     // -- Resolve FROM items --------------------------------------------------
     let mut inputs: Vec<Input<'_>> = Vec::with_capacity(query.from.len());
     for item in &query.from {
@@ -499,10 +435,6 @@ fn execute_inner(
             }
         } else {
             // Hash join: build on `next`, probe with the current composites.
-            // With `threads > 1`, both phases run over contiguous partitions
-            // merged in partition order: chunk i's rows all precede chunk
-            // i+1's in the original scan order, so per-key row lists and the
-            // output composites come out in exactly the sequential order.
             //
             // Keys are interned symbols: a NULL in any key column is
             // detected with one integer compare and the row is discarded
@@ -532,53 +464,9 @@ fn execute_inner(
                 }
             };
             let mut table: HashMap<Key, Vec<u32>> = HashMap::with_capacity(next_input.live.len());
-            if let (Some(batch), false) = (
-                batch_rows,
-                threads > 1 && next_input.live.len() >= par_threshold,
-            ) {
-                // Streamed consumption: the build side arrives in bounded
-                // batches and the table grows incrementally — identical to
-                // the one-shot scan because feed order is scan order.
-                let mut build = JoinBuild::with_capacity(next_input.live.len());
-                for rows in next_input.live.chunks(batch) {
-                    build.feed(rows.iter().map(|&r| (r, build_key(r))));
-                }
-                table = build.finish();
-            } else if threads > 1 && next_input.live.len() >= par_threshold {
-                let chunk = next_input.live.len().div_ceil(threads);
-                let build_key = &build_key;
-                let parts: Vec<HashMap<Key, Vec<u32>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = next_input
-                        .live
-                        .chunks(chunk)
-                        .map(|rows| {
-                            scope.spawn(move || {
-                                let mut m: HashMap<Key, Vec<u32>> =
-                                    HashMap::with_capacity(rows.len());
-                                for &r in rows {
-                                    if let Some(key) = build_key(r) {
-                                        m.entry(key).or_default().push(r);
-                                    }
-                                }
-                                m
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("join build worker"))
-                        .collect()
-                });
-                for part in parts {
-                    for (key, mut rs) in part {
-                        table.entry(key).or_default().append(&mut rs);
-                    }
-                }
-            } else {
-                for &r in &next_input.live {
-                    if let Some(key) = build_key(r) {
-                        table.entry(key).or_default().push(r);
-                    }
+            for &r in &next_input.live {
+                if let Some(key) = build_key(r) {
+                    table.entry(key).or_default().push(r);
                 }
             }
             let probe_key = |composite: &Vec<u32>| -> Option<Key> {
@@ -605,12 +493,9 @@ fn execute_inner(
                     }
                 }
             };
-            let probe = |composite: &Vec<u32>, out: &mut Vec<Vec<u32>>| {
-                let Some(key) = probe_key(composite) else {
-                    return;
-                };
-                let Some(matches) = table.get(&key) else {
-                    return;
+            for composite in &composites {
+                let Some(matches) = probe_key(composite).and_then(|key| table.get(&key)) else {
+                    continue;
                 };
                 'matches: for &r in matches {
                     for (pred, next_is_lhs) in &residuals {
@@ -636,34 +521,7 @@ fn execute_inner(
                     }
                     let mut extended = composite.clone();
                     extended.push(r);
-                    out.push(extended);
-                }
-            };
-            if threads > 1 && composites.len() >= par_threshold {
-                let chunk = composites.len().div_ceil(threads);
-                let probe = &probe;
-                let parts: Vec<Vec<Vec<u32>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = composites
-                        .chunks(chunk)
-                        .map(|chunk_rows| {
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                for composite in chunk_rows {
-                                    probe(composite, &mut out);
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("join probe worker"))
-                        .collect()
-                });
-                new_composites = parts.concat();
-            } else {
-                for composite in &composites {
-                    probe(composite, &mut new_composites);
+                    new_composites.push(extended);
                 }
             }
         }
@@ -708,89 +566,9 @@ fn execute_inner(
     }
     let mut rel = Relation::from_columns(columns, out_cols);
     if query.distinct {
-        match batch_rows {
-            // Streamed consumption below the partitioned-kernel threshold:
-            // dedup sees the output one bounded batch at a time.
-            Some(batch) if !(threads > 1 && rel.len() >= par_threshold) => {
-                let mut distinct = IncrementalDistinct::new(rel.columns().to_vec());
-                for b in rel.batches(batch) {
-                    distinct.feed(&b);
-                }
-                rel = distinct.finish();
-            }
-            _ => rel.dedup_parallel_with(threads, par_threshold),
-        }
+        rel.dedup();
     }
     Ok(rel)
-}
-
-/// Incremental build-side sink of the hash join: feed `(row, key)` pairs
-/// batch by batch; `finish` yields the same key → row-list table a one-shot
-/// scan produces, because rows are fed in scan order and NULL keys
-/// (`key == None`) are discarded exactly as the one-shot path discards them.
-struct JoinBuild {
-    table: HashMap<Key, Vec<u32>>,
-}
-
-impl JoinBuild {
-    fn with_capacity(rows: usize) -> JoinBuild {
-        JoinBuild {
-            table: HashMap::with_capacity(rows),
-        }
-    }
-
-    fn feed(&mut self, rows: impl Iterator<Item = (u32, Option<Key>)>) {
-        for (r, key) in rows {
-            if let Some(key) = key {
-                self.table.entry(key).or_default().push(r);
-            }
-        }
-    }
-
-    fn finish(self) -> HashMap<Key, Vec<u32>> {
-        self.table
-    }
-}
-
-/// Incremental DISTINCT over row batches: feeds preserve first-occurrence
-/// order across batch boundaries, so `finish` is byte-identical to
-/// materializing all batches and running [`Relation::dedup`] once.
-///
-/// This is the consumer side of the mediator's chunked shipment: dedup
-/// state (the seen-set) is bounded by the number of *distinct* rows, while
-/// each batch can be released as soon as it has been fed.
-pub struct IncrementalDistinct {
-    seen: HashSet<Vec<Sym>>,
-    out: Relation,
-}
-
-impl IncrementalDistinct {
-    pub fn new(columns: Vec<String>) -> IncrementalDistinct {
-        IncrementalDistinct {
-            seen: HashSet::new(),
-            out: Relation::empty(columns),
-        }
-    }
-
-    /// Feeds one batch; rows already seen (in this or any earlier batch)
-    /// are dropped.
-    pub fn feed(&mut self, batch: &Relation) {
-        debug_assert_eq!(batch.columns(), self.out.columns());
-        let arity = batch.arity();
-        let mut row = Vec::with_capacity(arity);
-        for r in 0..batch.len() {
-            row.clear();
-            row.extend((0..arity).map(|c| batch.sym(r, c)));
-            if self.seen.insert(row.clone()) {
-                self.out.push_syms(&row);
-            }
-        }
-    }
-
-    /// The deduplicated concatenation of every batch fed so far.
-    pub fn finish(self) -> Relation {
-        self.out
-    }
 }
 
 enum ResolvedItem {
@@ -1025,162 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_byte_identical() {
-        // Large enough to cross PAR_THRESHOLD in the build, the probe and
-        // the DISTINCT dedup; the parallel plan must reproduce the
-        // sequential output byte for byte (including duplicate order).
-        let n = PAR_THRESHOLD * 3;
-        let mut c = Catalog::new();
-        let mut db = Database::new("D");
-        let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
-        let mut right = Table::new(TableSchema::strings("r", &["k", "tag"], &[]));
-        for i in 0..n {
-            left.insert(vec![
-                Value::str(format!("k{}", i % 97)),
-                Value::str(format!("p{}", i % 11)),
-            ])
-            .unwrap();
-            right
-                .insert(vec![
-                    Value::str(format!("k{}", (i * 7) % 97)),
-                    Value::str(format!("t{}", i % 5)),
-                ])
-                .unwrap();
-        }
-        db.add_table(left).unwrap();
-        db.add_table(right).unwrap();
-        c.add_source(db).unwrap();
-
-        for sql in [
-            "select l.payload, r.tag from D:l l, D:r r where l.k = r.k and l.payload < r.tag",
-            "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-        ] {
-            let q = Query::parse(sql).unwrap();
-            let seq = execute_with(&q, &c, &Params::new(), 1).unwrap();
-            assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-            for threads in [2, 4] {
-                let par = execute_with(&q, &c, &Params::new(), threads).unwrap();
-                assert_eq!(seq, par, "threads={threads} sql={sql}");
-            }
-        }
-    }
-
-    /// The partitioned kernels engage exactly at `par_threshold` input
-    /// rows. Straddle the boundary (threshold-1 falls back to the
-    /// sequential path, threshold and threshold+1 partition) and assert
-    /// byte-identity at 1 and 4 threads for a join and a DISTINCT.
-    #[test]
-    fn par_threshold_boundary_is_byte_identical() {
-        for n in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
-            let mut c = Catalog::new();
-            let mut db = Database::new("D");
-            let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
-            let mut right = Table::new(TableSchema::strings("r", &["k", "tag"], &[]));
-            for i in 0..n {
-                left.insert(vec![
-                    Value::str(format!("k{}", i % 61)),
-                    Value::str(format!("p{}", i % 7)),
-                ])
-                .unwrap();
-                right
-                    .insert(vec![
-                        Value::str(format!("k{}", (i * 5) % 61)),
-                        Value::str(format!("t{}", i % 3)),
-                    ])
-                    .unwrap();
-            }
-            db.add_table(left).unwrap();
-            db.add_table(right).unwrap();
-            c.add_source(db).unwrap();
-
-            for sql in [
-                "select l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-                "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-            ] {
-                let q = Query::parse(sql).unwrap();
-                let seq = execute_with(&q, &c, &Params::new(), 1).unwrap();
-                assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-                for threads in [1, 4] {
-                    let tuned =
-                        execute_tuned(&q, &c, &Params::new(), threads, PAR_THRESHOLD).unwrap();
-                    assert_eq!(seq, tuned, "n={n} threads={threads} sql={sql}");
-                }
-            }
-        }
-    }
-
-    /// The chunked-consumption path is byte-identical to the materializing
-    /// path for every batch size — joins, DISTINCT, residual predicates,
-    /// and NULL-heavy keys included — at 1 and 4 threads.
-    #[test]
-    fn streamed_execution_is_byte_identical() {
-        let n = PAR_THRESHOLD * 2;
-        let mut c = Catalog::new();
-        let mut db = Database::new("D");
-        let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
-        let mut right = Table::new(TableSchema::strings("r", &["k", "tag"], &[]));
-        for i in 0..n {
-            let k = if i % 5 == 0 {
-                Value::Null
-            } else {
-                Value::str(format!("k{}", i % 89))
-            };
-            left.insert(vec![k.clone(), Value::str(format!("p{}", i % 11))])
-                .unwrap();
-            right
-                .insert(vec![k, Value::str(format!("t{}", i % 7))])
-                .unwrap();
-        }
-        db.add_table(left).unwrap();
-        db.add_table(right).unwrap();
-        c.add_source(db).unwrap();
-
-        for sql in [
-            "select l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-            "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-            "select l.payload, r.tag from D:l l, D:r r where l.k = r.k and l.payload < r.tag",
-        ] {
-            let q = Query::parse(sql).unwrap();
-            let seq = execute_with(&q, &c, &Params::new(), 1).unwrap();
-            assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-            for threads in [1, 4] {
-                for batch_rows in [1, 7, 256, usize::MAX] {
-                    let streamed = execute_streamed(
-                        &q,
-                        &c,
-                        &Params::new(),
-                        threads,
-                        PAR_THRESHOLD,
-                        batch_rows,
-                    )
-                    .unwrap();
-                    assert_eq!(seq, streamed, "threads={threads} batch={batch_rows} {sql}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_distinct_matches_one_shot_dedup() {
-        let mut rel = Relation::empty(vec!["a".into(), "b".into()]);
-        for i in 0..200 {
-            rel.push(vec![
-                Value::str(format!("x{}", i % 13)),
-                Value::str(format!("y{}", i % 7)),
-            ]);
-        }
-        let mut expect = rel.clone();
-        expect.dedup();
-        for batch_rows in [1, 3, 64, usize::MAX] {
-            let mut sink = IncrementalDistinct::new(rel.columns().to_vec());
-            for batch in rel.batches(batch_rows) {
-                sink.feed(&batch);
-            }
-            assert_eq!(sink.finish(), expect, "batch_rows={batch_rows}");
-        }
-    }
-
-    #[test]
     fn nulls_do_not_join() {
         let mut c = Catalog::new();
         let mut db = Database::new("D");
@@ -1195,17 +817,15 @@ mod tests {
     }
 
     /// NULL-heavy regression for the no-allocation key fast path: NULL join
-    /// keys never match (single- and multi-column), and the partitioned
-    /// build/probe agrees byte-for-byte with the sequential path on inputs
-    /// where most keys are NULL.
+    /// keys never match (single- and multi-column) on inputs where most
+    /// keys are NULL.
     #[test]
-    fn null_heavy_joins_match_sequentially_and_in_parallel() {
+    fn null_heavy_joins_never_match_null_keys() {
         let mut c = Catalog::new();
         let mut db = Database::new("D");
         let mut left = Table::new(TableSchema::strings("l", &["k1", "k2", "payload"], &[]));
         let mut right = Table::new(TableSchema::strings("r", &["k1", "k2", "tag"], &[]));
-        let n = PAR_THRESHOLD * 2;
-        for i in 0..n {
+        for i in 0..4096 {
             // ~2/3 of the rows carry a NULL in one of the key columns.
             let k1 = if i % 3 == 0 {
                 Value::Null
@@ -1236,15 +856,8 @@ mod tests {
             "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1 and l.k2 = r.k2",
         ] {
             let q = Query::parse(sql).unwrap();
-            let seq = execute_with(&q, &c, &Params::new(), 1).unwrap();
-            assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-            // No NULL key ever matched: every key cell of the output's
-            // provenance is non-NULL by construction of the fixture — spot
-            // check by running the join with an explicit NULL-free filter.
-            for threads in [2, 4] {
-                let par = execute_with(&q, &c, &Params::new(), threads).unwrap();
-                assert_eq!(seq, par, "threads={threads} sql={sql}");
-            }
+            let rel = execute(&q, &c, &Params::new()).unwrap();
+            assert!(!rel.is_empty(), "fixture produced no rows for {sql}");
         }
 
         // Direct claim: a table whose keys are all NULL joins to nothing,

@@ -6,11 +6,18 @@
 use crate::error::XmlError;
 use crate::tree::{NodeId, XmlTree};
 
-/// Parses an XML document into a tree.
+/// Deepest element nesting [`parse`] accepts. The parser recurses once per
+/// level, so an unbounded depth would overflow the stack on hostile input;
+/// the mediator's σ0 documents nest 39 levels at unfolding depth 32.
+pub const MAX_DEPTH: usize = 256;
+
+/// Parses an XML document into a tree. Elements nested deeper than
+/// [`MAX_DEPTH`] are a syntax error, not a stack overflow.
 pub fn parse(src: &str) -> Result<XmlTree, XmlError> {
     Parser {
         src: src.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .document()
 }
@@ -18,6 +25,8 @@ pub fn parse(src: &str) -> Result<XmlTree, XmlError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Elements currently open, the root included.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -103,7 +112,12 @@ impl<'a> Parser<'a> {
             )));
         }
         self.pos += 1;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
         self.content(tree, node)?;
+        self.depth -= 1;
         // Closing tag.
         if !self.src[self.pos..].starts_with(b"</") {
             return Err(self.err(format!("expected `</{tag}>`")));
@@ -226,6 +240,22 @@ mod tests {
         assert!(parse("<a>").is_err());
         assert!(parse("<a/><b/>").is_err());
         assert!(parse("<a attr=\"x\"/>").is_err());
+    }
+
+    /// Runs on the default test-thread stack: input far deeper than the cap
+    /// must come back as an error instead of overflowing the stack.
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for text in [nested(MAX_DEPTH + 1), "<a>".repeat(50_000)] {
+            match parse(&text) {
+                Err(XmlError::XmlSyntax { msg, .. }) => {
+                    assert!(msg.contains("nested deeper than 256 levels"), "{msg}")
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
